@@ -21,7 +21,7 @@ from . import __version__
 from .correlations import CorrelatorTable, pm_behavior
 from .chsh import chsh_norm_bound, optimal_alice_settings
 from .gallery import pauli_eigenstate_ensemble, pauli_set, planar_set, snub_cube_set
-from .jm import busch_pair_criterion, jm_feasibility, noisy_pauli_triple_jm, JMVerdict
+from .jm import decide
 from .pmbell import certify_incompatibility, check_correlator_equality, seesaw_ensemble_search
 from .polytope import BellPolytope, PMPolytope, fw_membership
 from .qcore import Assemblage, Ensemble, QubitOperator, validate
@@ -85,25 +85,6 @@ def _emit(report) -> None:
     sys.stdout.write("\n")
 
 
-def _orthogonal_triple_visibility(a: Assemblage) -> float | None:
-    """Common visibility when the assemblage is an orthogonal unbiased triple.
-
-    Such a triple is a rotated noisy Pauli triple, so the exact threshold
-    applies to it unchanged.
-    """
-    if len(a) != 3 or not a.all_unbiased:
-        return None
-    etas = [m.visibility for m in a]
-    if max(etas) - min(etas) > 1e-12 or min(etas) == 0.0:
-        return None
-    dirs = [2.0 * m.effect0.v / eta for m, eta in zip(a, etas)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(float(np.dot(dirs[i], dirs[j]))) > 1e-12:
-                return None
-    return etas[0]
-
-
 def _cmd_jm_check(args: argparse.Namespace) -> int:
     a = _load_assemblage(args.assemblage)
     params = {
@@ -111,28 +92,7 @@ def _cmd_jm_check(args: argparse.Namespace) -> int:
         "max_iter": args.max_iter,
         "tol": args.tol,
     }
-    # An incompatible pair already makes the whole set incompatible, so scan
-    # all unbiased pairs with the analytic norm criterion first.
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if not (a[i].is_unbiased and a[j].is_unbiased):
-                continue
-            is_jm, margin = busch_pair_criterion(a[i], a[j])
-            if not is_jm:
-                verdict = JMVerdict("not_jm", reason="pair-norm-criterion")
-                payload = verdict.to_json_dict()
-                payload["pair"] = [i, j]
-                payload["margin"] = margin
-                _emit(_report("jm-check", params, payload))
-                return 0
-    eta = _orthogonal_triple_visibility(a)
-    if eta is not None and not noisy_pauli_triple_jm(eta):
-        verdict = JMVerdict("not_jm", reason="orthogonal-triple-threshold")
-        payload = verdict.to_json_dict()
-        payload["visibility"] = eta
-        _emit(_report("jm-check", params, payload))
-        return 0
-    verdict = jm_feasibility(a, max_iter=args.max_iter, tol=args.tol)
+    verdict = decide(a, max_iter=args.max_iter, tol=args.tol)
     _emit(_report("jm-check", params, verdict.to_json_dict()))
     return 1 if verdict.status == "undecided" else 0
 

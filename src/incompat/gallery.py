@@ -65,8 +65,11 @@ _TRIBONACCI = (
 def snub_cube_directions(mirror: bool = False) -> np.ndarray:
     """24 unit vectors at the vertices of a snub cube, lexicographically sorted.
 
-    The two chiral forms are inequivalent under rotations; mirror=True returns
-    the reflected form (z negated).
+    mirror=True returns the reflected form (z negated).  The two chiral forms
+    are inequivalent as point sets under rotations, but the mirrored set is
+    exactly the negated generated set.  A measurement along -d is the one
+    along d with its outcomes swapped, so as measurement scenarios the two
+    forms are the same up to outcome labels and setting order.
     """
     t = _TRIBONACCI
     seed = np.array([1.0, 1.0 / t, t])
@@ -95,7 +98,10 @@ def snub_cube_directions(mirror: bool = False) -> np.ndarray:
 
 
 def snub_cube_set(eta: float, mirror: bool = False) -> Assemblage:
-    """24 noisy projective measurements along snub-cube vertex directions."""
+    """24 noisy projective measurements along snub-cube vertex directions.
+
+    mirror=True gives the same measurements up to outcome labels and order.
+    """
     return Assemblage(
         tuple(
             DichotomicMeasurement.noisy_projective(d, eta)

@@ -1,6 +1,7 @@
 """Joint-measurability decisions for finite sets of dichotomic qubit measurements.
 
-Three routes are provided, matching how much structure the input has:
+Three routes are provided, matching how much structure the input has, and
+decide() tries them in this order:
 
 * a closed-form norm criterion for pairs of unbiased measurements,
 * the exact visibility threshold for the noisy Pauli triple,
@@ -115,8 +116,9 @@ class JMVerdict:
     """Outcome of a joint-measurability decision.
 
     status is one of "jm" (with a verified mother POVM), "not_jm" (with the
-    analytic criterion that rejected), or "undecided" (feasibility residual
-    after the iteration budget).
+    analytic criterion that rejected and its evidence: the rejected pair and
+    its margin, or the triple's visibility), or "undecided" (feasibility
+    residual after the iteration budget).
     """
 
     status: str
@@ -124,6 +126,9 @@ class JMVerdict:
     reason: str | None = None
     residual: float | None = None
     iterations: int | None = None
+    pair: tuple[int, int] | None = None
+    margin: float | None = None
+    visibility: float | None = None
 
     @property
     def is_jm(self) -> bool:
@@ -133,12 +138,9 @@ class JMVerdict:
         out: dict = {"verdict": self.status}
         if self.mother is not None:
             out["mother"] = self.mother.to_json_dict()
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.residual is not None:
-            out["residual"] = self.residual
-        if self.iterations is not None:
-            out["iterations"] = self.iterations
+        for key in ("reason", "residual", "iterations", "pair", "margin", "visibility"):
+            if (value := getattr(self, key)) is not None:
+                out[key] = value
         return out
 
 
@@ -187,6 +189,45 @@ def noisy_pauli_triple_jm(eta: float) -> bool:
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {eta}")
     return eta <= 1.0 / math.sqrt(3.0) + 1e-12
+
+
+def _orthogonal_triple_visibility(a: Assemblage) -> float | None:
+    """Common visibility when the assemblage is an orthogonal unbiased triple.
+
+    Such a triple is a rotated noisy Pauli triple, so the exact threshold
+    applies to it unchanged.
+    """
+    if len(a) != 3 or not a.all_unbiased:
+        return None
+    etas = [m.visibility for m in a]
+    if max(etas) - min(etas) > 1e-12 or min(etas) == 0.0:
+        return None
+    dirs = [2.0 * m.effect0.v / eta for m, eta in zip(a, etas)]
+    for u, v in itertools.combinations(dirs, 2):
+        if abs(float(np.dot(u, v))) > 1e-12:
+            return None
+    return etas[0]
+
+
+def decide(a: Assemblage, max_iter: int = 5000, tol: float = 1e-9) -> JMVerdict:
+    """Joint-measurability verdict from the cheapest screen that settles it.
+
+    An incompatible pair makes the whole set incompatible, so every unbiased
+    pair is first screened with the analytic norm criterion; then an
+    orthogonal unbiased triple meets its exact threshold; the rest goes to
+    the one-sided feasibility search.
+    """
+    for i, j in itertools.combinations(range(len(a)), 2):
+        if a[i].is_unbiased and a[j].is_unbiased:
+            is_jm, margin = busch_pair_criterion(a[i], a[j])
+            if not is_jm:
+                return JMVerdict(
+                    "not_jm", reason="pair-norm-criterion", pair=(i, j), margin=margin
+                )
+    eta = _orthogonal_triple_visibility(a)
+    if eta is not None and not noisy_pauli_triple_jm(eta):
+        return JMVerdict("not_jm", reason="orthogonal-triple-threshold", visibility=eta)
+    return jm_feasibility(a, max_iter=max_iter, tol=tol)
 
 
 def _cone_project(rows: np.ndarray) -> np.ndarray:

@@ -114,6 +114,17 @@ def _embed_correlator_witness(W: np.ndarray) -> np.ndarray:
     return np.stack([W, -W], axis=-1)
 
 
+def _correlator_witness(witness: Witness) -> Witness:
+    """A behaviour witness as correlator coefficients W = (M_0 - M_1) / 2.
+
+    Q and L both lose the offset sum (M_0 + M_1) / 2, so Q - L stays.
+    """
+    M = witness.M
+    W = (M[:, :, 0] - M[:, :, 1]) / 2.0
+    offset = float(np.sum(M[:, :, 0] + M[:, :, 1]) / 2.0)
+    return Witness(W, witness.L - offset, witness.Q - offset)
+
+
 def map_pm_witness_to_bell(
     witness: Witness, tol: float = WITNESS_TRANSFER_TOL
 ) -> Witness:
@@ -259,13 +270,8 @@ def certify_incompatibility(
     bell_cert: BellCertificate | None = None
     if verdict.is_outside:
         assert verdict.witness is not None
-        M_beh = verdict.witness.M
-        # Reduce the behaviour-space witness to correlator coefficients; the
-        # offset sum drops out of Q - L, so both sides shift consistently.
-        W = (M_beh[:, :, 0] - M_beh[:, :, 1]) / 2.0
-        offset = float(np.sum(M_beh[:, :, 0] + M_beh[:, :, 1]) / 2.0)
         p_corr = to_correlators(behavior).values
-        pm_witness = Witness(W, verdict.witness.L - offset, verdict.witness.Q - offset)
+        pm_witness = _correlator_witness(verdict.witness)
         if d == 2 and a.all_unbiased:
             bell_witness = map_pm_witness_to_bell(pm_witness)
             q_check = float(np.sum(bell_witness.M * p_corr))
@@ -350,14 +356,12 @@ def _random_pure_ensemble(n_states: int, rng: np.random.Generator) -> Ensemble:
 
 def _normalized_violation(witness: Witness, d: int) -> float:
     """Q - L of the correlator witness rescaled to classical bound 2."""
-    W = (witness.M[:, :, 0] - witness.M[:, :, 1]) / 2.0
-    offset = float(np.sum(witness.M[:, :, 0] + witness.M[:, :, 1]) / 2.0)
-    _, l_corr = pm_lmo(_embed_correlator_witness(W), d)
-    q_corr = witness.Q - offset
+    corr = _correlator_witness(witness)
+    _, l_corr = pm_lmo(_embed_correlator_witness(corr.M), d)
     if l_corr <= 0.0:
         return 0.0
     scale = 2.0 / l_corr
-    return scale * q_corr - 2.0
+    return scale * corr.Q - 2.0
 
 
 def seesaw_ensemble_search(

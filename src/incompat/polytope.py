@@ -17,9 +17,10 @@ serves as an independent test oracle for the same question.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -143,10 +144,60 @@ class MembershipVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _lex_assignments(d: int, n: int, start: int, count: int) -> np.ndarray:
-    """Rows start..start+count-1 of the lexicographic enumeration of {0..d-1}^n."""
-    idx = np.arange(start, start + count)
-    return np.stack(np.unravel_index(idx, (d,) * n), axis=1)
+# One-hot entries per column of a chunk: a chunk over k values has at most
+# _CHUNK_SIZE // k rows.  This constant fixes the exact oracles' memory.
+_CHUNK_SIZE = 1 << 16
+
+
+@functools.lru_cache(maxsize=8)
+def _lex_onehot(k: int, m: int) -> np.ndarray:
+    """{0..k-1}^m in lexicographic order as a read-only one-hot float64 table.
+
+    Entry [a, i, j] is 1.0 when row i has digit a at position j.  Callers keep
+    k^(m+1) <= _CHUNK_SIZE, so a table is at most 8 MB and the cache 63 MB.
+    """
+    digits = np.empty((k**m, m), dtype=np.intp)
+    idx = np.arange(k**m)
+    for j in range(m - 1, -1, -1):
+        idx, digits[:, j] = np.divmod(idx, k)
+    table = (digits == np.arange(k)[:, None, None]).astype(float)
+    table.setflags(write=False)
+    return table
+
+
+def _lex_argmax(
+    k: int, n: int, score: Callable[[np.ndarray], tuple], budget: int, what: str
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """First lexicographic maximiser of a per-row score over {0..k-1}^n.
+
+    Chunks of k^m <= _CHUNK_SIZE / k rows are walked in order, each one
+    prefix of the n - m high digits over the cached table of all low digits.
+    score(T) gets a chunk as a one-hot (k, rows, n) table and returns one
+    value per row plus a per-row array the caller decodes the winner from.
+    Returns the winning digits, value and that array's row; ties go to the
+    first row.  A call holds one chunk and what score builds from it, so for
+    k <= _CHUNK_SIZE its memory is a small multiple of _CHUNK_SIZE times the
+    widest per-row array, whatever k^n is.
+    """
+    total = k**n
+    if total > budget:
+        raise EnumerationBudgetError(
+            f"{k}^{n} = {total} {what} exceed the oracle budget {budget}"
+        )
+    m = next((j for j in range(n, -1, -1) if k ** (j + 1) <= _CHUNK_SIZE), 0)
+    low = _lex_onehot(k, m)
+    best = None
+    for prefix in itertools.product(range(k), repeat=n - m):
+        T = low
+        if prefix:
+            T = np.empty((k, low.shape[1], n))
+            T[:, :, : n - m] = (np.arange(k)[:, None] == prefix)[:, None, :]
+            T[:, :, n - m :] = low
+        values, details = score(T)
+        i = int(np.argmax(values))
+        if best is None or values[i] > best[1]:
+            best = (T[:, i, :].argmax(axis=0), float(values[i]), details[i].copy())
+    return best
 
 
 def pm_lmo(
@@ -165,54 +216,49 @@ def pm_lmo(
     n_x, n_y, _ = M.shape
     if d < 1:
         raise ValueError("message dimension must be positive")
-    total = d**n_x
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"d^n_x = {total} encodings exceed the oracle budget {budget}"
-        )
     # max_b(S_0, S_1) = S_0 + relu(S_1 - S_0), and the S_0 parts summed over
     # all messages telescope to sum(M[:, :, 0]) independently of f, so only
     # the groupwise sums of the outcome difference are needed per encoding.
     diff = M[:, :, 1] - M[:, :, 0]
     const = float(M[:, :, 0].sum())
-    chunk = max(1, min(total, 1 << 16))
-    best_value = -np.inf
-    best_f: np.ndarray | None = None
-    for start in range(0, total, chunk):
-        count = min(chunk, total - start)
-        F = _lex_assignments(d, n_x, start, count)
-        vals = np.full(count, const)
-        for a in range(d):
-            D = (F == a).astype(float) @ diff
+
+    def score(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        vals = np.full(T.shape[1], const)
+        for mask in T:
+            D = mask @ diff
             np.maximum(D, 0.0, out=D)
             vals += D.sum(axis=1)
-        k = int(np.argmax(vals))
-        if vals[k] > best_value:
-            best_value = float(vals[k])
-            best_f = F[k].copy()
-    assert best_f is not None
-    return _pm_strategy_for_encoding(M, d, best_f)
+        return vals, vals  # the encoding alone decodes the winner
 
-
-def _pm_strategy_for_encoding(
-    M: np.ndarray, d: int, f: np.ndarray
-) -> tuple[PMStrategy, float]:
-    """Best response table for a fixed encoding, with its exact value."""
-    n_x, n_y, _ = M.shape
+    f, _, _ = _lex_argmax(d, n_x, score, budget, "encodings")
     flat = M.reshape(n_x, n_y * 2)
     group = np.stack([(f == a).astype(float) @ flat for a in range(d)])
     table = group.reshape(d, n_y, 2)
     g = tuple(tuple(int(b) for b in np.argmax(table[a], axis=1)) for a in range(d))
-    strategy = PMStrategy(tuple(int(a) for a in f), g)
-    value = float(table.max(axis=2).sum())
-    return strategy, value
+    return PMStrategy(tuple(int(a) for a in f), g), float(table.max(axis=2).sum())
 
 
-def _sign_rows(n: int) -> np.ndarray:
-    """All sign vectors of length n, lexicographic with +1 before -1."""
-    k = np.arange(1 << n)
-    bits = (k[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-    return 1.0 - 2.0 * bits
+def _pm_lmo_over_responses(
+    M: np.ndarray, d: int, budget: int
+) -> tuple[PMStrategy, float]:
+    """Exact PM maximum by enumerating response tables g, 2^(d n_y) of them.
+
+    For fixed g every x sends its best message.  Ties resolve to the first
+    table (outcome 0 before 1) and then to the lowest message.
+    """
+    n_x, n_y, _ = M.shape
+    base = M[:, :, 0].sum(axis=1)
+    delta = (M[:, :, 1] - M[:, :, 0]).T  # (n_y, n_x)
+
+    def score(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        per_message = (T[1].reshape(-1, n_y) @ delta).reshape(-1, d, n_x)
+        per_message += base
+        return per_message.max(axis=1).sum(axis=1), per_message
+
+    bits, value, table = _lex_argmax(2, d * n_y, score, budget, "response tables")
+    f = tuple(int(a) for a in np.argmax(table, axis=0))
+    g = tuple(tuple(int(b) for b in row) for row in bits.reshape(d, n_y))
+    return PMStrategy(f, g), value
 
 
 def bell_lmo(
@@ -220,8 +266,8 @@ def bell_lmo(
 ) -> tuple[SignAssignment, float]:
     """Exact maximum of sum_xy M_xy alpha_x beta_y over sign assignments.
 
-    Enumerates the smaller side; the other side follows as the sign of the
-    accumulated column (ties to +1).
+    Enumerates the smaller side, +1 before -1; the other side follows as the
+    sign of the accumulated column (ties to +1).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -229,19 +275,16 @@ def bell_lmo(
     n_a, n_b = M.shape
     swap = n_b < n_a
     work = M.T if swap else M
-    n_enum = work.shape[0]
-    if (1 << n_enum) > budget:
-        raise EnumerationBudgetError(
-            f"2^{n_enum} sign vectors exceed the oracle budget {budget}"
-        )
-    signs = _sign_rows(n_enum)
-    G = signs @ work
-    vals = np.abs(G).sum(axis=1)
-    k = int(np.argmax(vals))
-    lead = tuple(int(s) for s in signs[k])
-    follow = tuple(1 if gv >= 0.0 else -1 for gv in G[k])
+
+    def score(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        G = (T[0] - T[1]) @ work
+        return np.abs(G).sum(axis=1), G
+
+    bits, value, G = _lex_argmax(2, work.shape[0], score, budget, "sign vectors")
+    lead = tuple(1 - 2 * int(b) for b in bits)
+    follow = tuple(1 if gv >= 0.0 else -1 for gv in G)
     alpha, beta = (follow, lead) if swap else (lead, follow)
-    return SignAssignment(alpha, beta), float(vals[k])
+    return SignAssignment(alpha, beta), value
 
 
 def enumerate_pm_strategies(d: int, n_x: int, n_y: int) -> Iterator[PMStrategy]:
@@ -287,13 +330,6 @@ class PMPolytope:
                 f"PM oracle for d={d}, n_x={n_x}, n_y={n_y} exceeds budget {budget}"
             )
         self._use_g_route = cost_g < cost_f
-        self._g_bits: np.ndarray | None = None
-        self._f_masks: list[np.ndarray] | None = None
-        # Membership loops call the oracle many times on one shape; the
-        # one-hot encoding masks are worth caching when they fit comfortably.
-        self._cache_masks = (not self._use_g_route) and (
-            cost_f * self.n_x * self.d * 8 <= 256_000_000
-        )
 
     @property
     def point_shape(self) -> tuple[int, ...]:
@@ -302,44 +338,8 @@ class PMPolytope:
     def lmo(self, M: np.ndarray) -> tuple[PMStrategy, float]:
         M = np.asarray(M, dtype=float).reshape(self.point_shape)
         if self._use_g_route:
-            return self._lmo_over_responses(M)
-        if self._cache_masks:
-            return self._lmo_over_encodings(M)
+            return _pm_lmo_over_responses(M, self.d, self.budget)
         return pm_lmo(M, self.d, self.budget)
-
-    def _lmo_over_encodings(self, M: np.ndarray) -> tuple[PMStrategy, float]:
-        if self._f_masks is None:
-            F = _lex_assignments(self.d, self.n_x, 0, self.d**self.n_x)
-            self._f_masks = [(F == a).astype(float) for a in range(self.d)]
-            self._f_table = F
-        diff = M[:, :, 1] - M[:, :, 0]
-        vals = np.full(self._f_table.shape[0], float(M[:, :, 0].sum()))
-        for mask in self._f_masks:
-            D = mask @ diff
-            np.maximum(D, 0.0, out=D)
-            vals += D.sum(axis=1)
-        k = int(np.argmax(vals))
-        return _pm_strategy_for_encoding(M, self.d, self._f_table[k])
-
-    def _lmo_over_responses(self, M: np.ndarray) -> tuple[PMStrategy, float]:
-        d, n_y = self.d, self.n_y
-        if self._g_bits is None:
-            k = np.arange(1 << (d * n_y))
-            bits = (k[:, None] >> np.arange(d * n_y - 1, -1, -1)[None, :]) & 1
-            self._g_bits = bits.astype(float)
-        bits = self._g_bits
-        base = M[:, :, 0].sum(axis=1)
-        delta = (M[:, :, 1] - M[:, :, 0]).T  # (n_y, n_x)
-        per_message = (bits.reshape(-1, n_y) @ delta).reshape(-1, d, self.n_x)
-        totals = (base[None, None, :] + per_message).max(axis=1).sum(axis=1)
-        k_best = int(np.argmax(totals))
-        table = base[None, :] + per_message[k_best]  # (d, n_x)
-        f = tuple(int(a) for a in np.argmax(table, axis=0))
-        g_flat = bits[k_best].astype(int).reshape(d, n_y)
-        g = tuple(tuple(int(b) for b in row) for row in g_flat)
-        strategy = PMStrategy(f, g)
-        value = float(table.max(axis=0).sum())
-        return strategy, value
 
     def vertex(self, strategy: PMStrategy) -> np.ndarray:
         return strategy.vector().ravel()

@@ -89,6 +89,15 @@ class TestSnubCube:
             float(np.min(np.linalg.norm(mirrored - d, axis=1))) for d in dirs
         ) > 1e-3
 
+    def test_mirror_is_the_negated_set(self):
+        # As measurement sets the chiral forms coincide up to outcome labels.
+        def lex(dirs):
+            return dirs[np.lexsort(dirs.T[::-1])]
+
+        np.testing.assert_array_equal(
+            lex(snub_cube_directions(mirror=True)), lex(-snub_cube_directions())
+        )
+
     def test_assemblage_validates(self):
         assert validate(snub_cube_set(1.0)) is None
         assert validate(snub_cube_set(0.4, mirror=True)) is None

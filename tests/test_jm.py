@@ -1,12 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from incompat.cli import main
 from incompat.gallery import pauli_set
 from incompat.jm import (
     MotherPOVM,
     busch_pair_criterion,
+    decide,
     jm_feasibility,
     mother_povm_xz,
     noisy_pauli_triple_jm,
@@ -151,3 +154,26 @@ class TestFeasibility:
                 assert verdict.status == "undecided", margin
                 checked_not += 1
         assert checked_jm > 20 and checked_not > 20
+
+
+class TestDecide:
+    def test_matches_jm_check_on_the_cli_inputs(self, tmp_path, capsys):
+        z = QubitOperator(0.5, (0.0, 0.0, 0.5))
+        cases = [
+            (pauli_set("xz", 0.8), 5000, "not_jm", "pair-norm-criterion"),
+            (pauli_set("xyz", 0.6), 5000, "not_jm", "orthogonal-triple-threshold"),
+            (Assemblage.from_json_list([z.to_json_dict()] * 3), 10, "undecided", None),
+        ]
+        for k, (a, max_iter, status, reason) in enumerate(cases):
+            verdict = decide(a, max_iter=max_iter, tol=1e-9)
+            assert (verdict.status, verdict.reason) == (status, reason)
+            path = tmp_path / f"a{k}.json"
+            path.write_text(json.dumps(a.to_json_list()))
+            code = main(["jm-check", "--assemblage", str(path), "--max-iter", str(max_iter)])
+            report = json.loads(capsys.readouterr().out)
+            assert code == (1 if status == "undecided" else 0)
+            for key in ("tool", "version", "command", "parameters"):
+                del report[key]
+            assert report == json.loads(json.dumps(verdict.to_json_dict()))
+        assert decide(cases[0][0]).pair == (0, 1)
+        assert decide(cases[1][0]).visibility == pytest.approx(0.6)

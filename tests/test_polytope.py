@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from incompat import polytope
 from incompat.correlations import pm_behavior
 from incompat.gallery import pauli_eigenstate_ensemble, pauli_set
 from incompat.polytope import (
@@ -10,6 +12,7 @@ from incompat.polytope import (
     EnumerationBudgetError,
     PMPolytope,
     PMStrategy,
+    SignAssignment,
     bell_lmo,
     brute_force_membership,
     enumerate_pm_strategies,
@@ -110,6 +113,62 @@ class TestBellOracle:
     def test_budget_error(self):
         with pytest.raises(EnumerationBudgetError):
             bell_lmo(np.zeros((40, 40)), budget=1000)
+
+
+def _row_index(digits) -> int:
+    """Position of an assignment in the lexicographic enumeration of {0, 1}^n."""
+    return int("".join(str(int(b)) for b in digits), 2)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedEnumeration:
+    """Enumerations longer than one chunk keep the first exact maximiser."""
+
+    def test_bell_maximiser_in_second_chunk(self):
+        rng = np.random.default_rng(31)
+        u = rng.integers(1, 5, size=17) * rng.choice([-1, 1], size=17)
+        v = rng.integers(1, 5, size=17) * rng.choice([-1, 1], size=17)
+        u[0], u[1] = abs(u[0]), -abs(u[1])
+        # alpha = sign(u) and its negation are the only maximisers; +1 comes
+        # first, so sign(u) wins, and its leading (+1, -1) is the second chunk.
+        alpha = tuple(int(s) for s in np.sign(u))
+        beta = tuple(int(s) for s in np.sign(v))
+        rows = polytope._CHUNK_SIZE // 2  # rows in one chunk over {0, 1}
+        assert rows <= _row_index(s < 0 for s in alpha) < 2 * rows
+        assignment, value = bell_lmo(np.outer(u, v).astype(float))
+        assert assignment == SignAssignment(alpha, beta)
+        assert value == float(np.abs(u).sum() * np.abs(v).sum())
+
+    def test_pm_maximiser_in_second_chunk(self):
+        # Every x prefers one outcome; only encodings that split the two
+        # groups serve all of them, and of f and 1 - f the lower one wins.
+        f = tuple(1 if x in (1, 4, 5, 11, 16) else 0 for x in range(17))
+        rows = polytope._CHUNK_SIZE // 2  # rows in one chunk over {0, 1}
+        assert rows <= _row_index(f) < 2 * rows
+        M = np.full((17, 1, 2), -1.0)
+        for x, b in enumerate(f):
+            M[x, 0, b] = 2.0
+        strategy, value = pm_lmo(M, 2)
+        assert strategy == PMStrategy(f, ((0,), (1,)))
+        assert value == 34.0
+
+    def test_sign_enumeration_memory_is_bounded(self):
+        M = np.random.default_rng(32).normal(size=(20, 20))
+        assert _traced_peak(lambda: bell_lmo(M)) <= 64 * 2**20
+
+    def test_response_enumeration_memory_is_bounded(self):
+        oracle = PMPolytope(2, 30, 9)
+        assert oracle._use_g_route  # 2^18 response tables
+        M = np.random.default_rng(33).normal(size=oracle.point_shape)
+        assert _traced_peak(lambda: oracle.lmo(M)) <= 128 * 2**20
 
 
 def hand_decomposition_for_eigenstates_xz():
