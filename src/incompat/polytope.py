@@ -8,7 +8,8 @@ rank-one sign matrices alpha_x beta_y.
 
 Membership is decided by a fully corrective Frank-Wolfe loop driven by exact
 enumeration oracles.  The loop maintains an explicit active vertex set and
-reoptimises the convex weights exactly (a minimum-norm-point inner solver), so
+reoptimises the convex weights exactly with Wolfe's minimum-norm-point
+algorithm, whose affine step is one symmetric positive definite solve, so
 an Inside verdict always ships with a sparse convex decomposition and an
 Outside verdict with a separating witness whose classical bound comes from one
 final exact oracle call.  A dense phase-1 simplex over an explicit vertex list
@@ -101,7 +102,9 @@ class MembershipVerdict:
     Inside verdicts carry the active vertices (strategy objects where the
     oracle produced them, otherwise raw vertex rows) and their weights;
     Undecided verdicts carry two-sided bounds on the Euclidean distance from
-    the point to the polytope.
+    the point to the polytope.  termination, kept out of the JSON report, says
+    why Frank-Wolfe stopped: "converged" (dual gap within tolerance),
+    "repeated_vertex" or "iteration_cap"; None for simplex verdicts.
     """
 
     status: str
@@ -113,6 +116,7 @@ class MembershipVerdict:
     distance_lower: float | None = None
     distance_upper: float | None = None
     iterations: int = 0
+    termination: str | None = None
 
     @property
     def is_inside(self) -> bool:
@@ -171,9 +175,11 @@ def _lex_argmax(
     """First lexicographic maximiser of a per-row score over {0..k-1}^n.
 
     Chunks of k^m <= _CHUNK_SIZE / k rows are walked in order, each one
-    prefix of the n - m high digits over the cached table of all low digits.
-    score(T) gets a chunk as a one-hot (k, rows, n) table and returns one
-    value per row plus a per-row array the caller decodes the winner from.
+    prefix of the n - m high digits over the cached table of all low digits;
+    one buffer per call holds the chunk and only its prefix columns change.
+    score(T) gets a chunk as a one-hot (k, rows, n) table, which it must not
+    write or keep, and returns one value per row plus a per-row array the
+    caller decodes the winner from.
     Returns the winning digits, value and that array's row; ties go to the
     first row.  A call holds one chunk and what score builds from it, so for
     k <= _CHUNK_SIZE its memory is a small multiple of _CHUNK_SIZE times the
@@ -186,13 +192,14 @@ def _lex_argmax(
         )
     m = next((j for j in range(n, -1, -1) if k ** (j + 1) <= _CHUNK_SIZE), 0)
     low = _lex_onehot(k, m)
+    T = low
+    if m < n:
+        T = np.empty((k, low.shape[1], n))
+        T[:, :, n - m :] = low
     best = None
     for prefix in itertools.product(range(k), repeat=n - m):
-        T = low
         if prefix:
-            T = np.empty((k, low.shape[1], n))
             T[:, :, : n - m] = (np.arange(k)[:, None] == prefix)[:, None, :]
-            T[:, :, n - m :] = low
         values, details = score(T)
         i = int(np.argmax(values))
         if best is None or values[i] > best[1]:
@@ -373,21 +380,16 @@ class BellPolytope:
 
 
 def _affine_weights(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Minimiser of |w @ rows - p| over sum(w) = 1 (signs unconstrained)."""
-    m = rows.shape[0]
-    system = np.zeros((m + 1, m + 1))
-    system[:m, :m] = rows @ rows.T
-    system[:m, m] = 1.0
-    system[m, :m] = 1.0
-    rhs = np.zeros(m + 1)
-    rhs[:m] = rows @ p
-    rhs[m] = 1.0
-    sol = np.linalg.lstsq(system, rhs, rcond=None)[0]
-    u = sol[:m]
-    total = float(u.sum())
-    if abs(total - 1.0) > 1e-9 and abs(total) > 1e-12:
-        u = u / total
-    return u
+    """Minimiser of |w @ rows - p| over sum(w) = 1 (signs unconstrained).
+
+    Wolfe's affine step: with R = rows - p the minimiser is u / sum(u) for the
+    solution u of (1 1^T + R R^T) u = 1.  The matrix is positive definite
+    exactly when the rows are affinely independent; a singular one raises
+    np.linalg.LinAlgError.
+    """
+    R = rows - p
+    u = np.linalg.solve(R @ R.T + 1.0, np.ones(rows.shape[0]))
+    return u / u.sum()
 
 
 def _min_norm_point(
@@ -395,9 +397,11 @@ def _min_norm_point(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact projection of p onto the convex hull of the given rows.
 
-    Minimum-norm-point iteration: repeatedly add the row most aligned with the
-    residual, solve the affine relaxation on the support, and step back to the
-    simplex, dropping rows that hit zero.  Terminates when no row improves.
+    Wolfe's minimum-norm-point iteration: repeatedly add the row most aligned
+    with the residual, take Wolfe's affine step on the support (one symmetric
+    solve, see _affine_weights), and step back to the simplex, dropping rows
+    that hit zero.  Terminates when no row improves; a support that has become
+    affinely dependent ends the inner loop at the last feasible weights.
     """
     k = rows.shape[0]
     w = w.copy()
@@ -426,24 +430,22 @@ def _min_norm_point(
         total = w_s.sum()
         w_s = w_s / total if total > 0 else np.full(len(support), 1.0 / len(support))
         for _ in range(len(support) + 8):
-            u = _affine_weights(rows[support], p)
+            try:
+                u = _affine_weights(rows[support], p)
+            except np.linalg.LinAlgError:
+                break
             if float(np.min(u)) >= -1e-12:
                 w_s = np.clip(u, 0.0, None)
                 break
+            # Step from w_s towards u until the first weight reaches zero.
+            # Some u_i < -1e-12 while w_s >= 0, so that step shrinks and theta
+            # is in [0, 1); both w_s and u sum to 1, so a weight stays positive.
             step = u - w_s
             shrinking = step < -1e-15
-            if not np.any(shrinking):
-                w_s = np.clip(u, 0.0, None)
-                break
             theta = float(np.min(w_s[shrinking] / -step[shrinking]))
-            theta = min(max(theta, 0.0), 1.0)
             w_s = w_s + theta * step
             w_s[w_s < 1e-14] = 0.0
             keep = w_s > 0.0
-            if not np.any(keep):
-                w_s = np.zeros(len(support))
-                w_s[support.index(i_star)] = 1.0
-                break
             support = [s for s, flag in zip(support, keep) if flag]
             w_s = w_s[keep]
         w = np.zeros(k)
@@ -483,13 +485,17 @@ def fw_membership(
     seen = {strat}
     w = np.array([1.0])
     iterations = 0
+    termination = "iteration_cap"
     for iterations in range(1, max_iter + 1):
         V = np.asarray(rows)
         w, x = _min_norm_point(V, p, w)
         g = p - x
         strat, best = polytope.lmo(g)
-        gap = best - float(g @ x)
-        if gap <= gap_tol or strat in seen:
+        if best - float(g @ x) <= gap_tol:
+            termination = "converged"
+            break
+        if strat in seen:
+            termination = "repeated_vertex"
             break
         strategies.append(strat)
         rows.append(polytope.vertex(strat))
@@ -503,14 +509,16 @@ def fw_membership(
     kept_strategies = tuple(s for s, flag in zip(strategies, keep) if flag)
     kept_weights = w[keep]
     kept_weights = kept_weights / kept_weights.sum()
+    verdict = functools.partial(
+        MembershipVerdict, iterations=iterations, termination=termination
+    )
 
     if dist < eps_in:
-        return MembershipVerdict(
+        return verdict(
             "inside",
             strategies=kept_strategies,
             weights=kept_weights,
             reconstruction_error=dist,
-            iterations=iterations,
         )
 
     direction = p - x
@@ -522,21 +530,15 @@ def fw_membership(
         _, L = polytope.lmo(M)
         Q = float(M.ravel() @ p)
         if Q > L:
-            return MembershipVerdict(
+            return verdict(
                 "outside",
                 witness=Witness(M, L, Q),
                 distance_lower=(achieved - bound) / float(np.linalg.norm(direction)),
                 distance_upper=dist,
-                iterations=iterations,
             )
 
     lower = max(0.0, achieved - bound) / float(np.linalg.norm(direction))
-    return MembershipVerdict(
-        "undecided",
-        distance_lower=lower,
-        distance_upper=dist,
-        iterations=iterations,
-    )
+    return verdict("undecided", distance_lower=lower, distance_upper=dist)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from incompat import polytope
 from incompat.correlations import pm_behavior
@@ -171,6 +173,101 @@ class TestChunkedEnumeration:
         assert _traced_peak(lambda: oracle.lmo(M)) <= 128 * 2**20
 
 
+def _random_vertex_set(rng, kind):
+    """0/1 rows, plain or with duplicate or affinely dependent rows added."""
+    n = int(rng.integers(2, 9))
+    rows = rng.integers(0, 2, size=(int(rng.integers(1, 14)), n)).astype(float)
+    if kind == "duplicates":
+        rows = np.vstack([rows, rows[rng.integers(0, len(rows), size=3)]])
+    elif kind == "dependent":
+        for _ in range(3):
+            a, b, c = rows[rng.integers(0, len(rows), size=3)]
+            if np.all((a + b - c >= 0) & (a + b - c <= 1)):
+                rows = np.vstack([rows, a + b - c])
+    return rows[rng.permutation(len(rows))]
+
+
+def _nnls_distance(rows, p):
+    """Distance from p to the hull of the rows by Lawson-Hanson NNLS.
+
+    With R = rows - p, the nonnegative minimiser u of |R^T u|^2 + (sum u - 1)^2
+    is a positive multiple of the min-norm-point weights.
+    """
+    system = np.vstack([(rows - p).T, np.ones(len(rows))])
+    rhs = np.zeros(system.shape[0])
+    rhs[-1] = 1.0
+    u, _ = nnls(system, rhs)
+    return float(np.linalg.norm(u / u.sum() @ rows - p))
+
+
+def _fraction_affine_weights(rows, p):
+    """Minimiser of |w @ rows - p| over sum(w) = 1, in Fraction arithmetic.
+
+    Gaussian elimination on the bordered system [[G, 1], [1^T, 0]] with
+    G = rows rows^T; returns None when the rows are affinely dependent.
+    """
+    m = len(rows)
+    rows = [[Fraction(int(v)) for v in r] for r in rows]
+    p = [Fraction(int(v)) for v in p]
+    A = [
+        [sum(a * b for a, b in zip(ri, rj)) for rj in rows]
+        + [Fraction(1), sum(a * b for a, b in zip(ri, p))]
+        for ri in rows
+    ]
+    A.append([Fraction(1)] * m + [Fraction(0), Fraction(1)])
+    for col in range(m + 1):
+        pivot = next((r for r in range(col, m + 1) if A[r][col] != 0), None)
+        if pivot is None:
+            return None
+        A[col], A[pivot] = A[pivot], A[col]
+        for r in range(m + 1):
+            if r != col and A[r][col] != 0:
+                factor = A[r][col] / A[col][col]
+                A[r] = [a - factor * b for a, b in zip(A[r], A[col])]
+    return [A[i][-1] / A[i][i] for i in range(m)]
+
+
+class TestInnerProjection:
+    """Wolfe's min-norm point and its affine step against exact references."""
+
+    @pytest.mark.parametrize("kind", ["plain", "duplicates", "dependent"])
+    @pytest.mark.parametrize("where", ["inside", "outside"])
+    def test_min_norm_point_matches_nnls(self, kind, where):
+        rng = np.random.default_rng(["plain", "duplicates", "dependent"].index(kind))
+        for _ in range(60):
+            rows = _random_vertex_set(rng, kind)
+            if where == "inside":
+                p = rng.dirichlet(np.ones(len(rows))) @ rows
+            else:
+                p = rng.uniform(-0.5, 1.5, size=rows.shape[1])
+            start = np.zeros(len(rows))
+            start[0] = 1.0
+            w, x = polytope._min_norm_point(rows, p, start)
+            assert np.all(w >= 0.0)
+            assert abs(w.sum() - 1.0) <= 1e-12
+            assert np.allclose(x, w @ rows, rtol=0.0, atol=1e-15)
+            assert abs(np.linalg.norm(x - p) - _nnls_distance(rows, p)) <= 1e-12
+
+    def test_affine_weights_match_exact_solve(self):
+        rng = np.random.default_rng(34)
+        checked = 0
+        while checked < 100:
+            n = int(rng.integers(2, 8))
+            rows = rng.integers(0, 2, size=(int(rng.integers(1, n + 2)), n))
+            p = rng.integers(-1, 3, size=n)
+            exact = _fraction_affine_weights(rows, p)
+            if exact is None:
+                continue
+            u = polytope._affine_weights(rows.astype(float), p.astype(float))
+            assert np.max(np.abs(u - np.array(exact, dtype=float))) <= 1e-12
+            checked += 1
+
+    def test_affine_weights_reject_dependent_rows(self):
+        rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            polytope._affine_weights(rows, np.zeros(2))
+
+
 def hand_decomposition_for_eigenstates_xz():
     """Equal mixture of four two-message strategies reproducing the
     six-eigenstate behaviour against projective X and Z."""
@@ -244,6 +341,21 @@ class TestFWMembership:
         verdict2 = fw_membership(TSIRELSON.copy(), BellPolytope(2, 2))
         assert verdict1.status == verdict2.status == "outside"
 
+    def test_inside_and_outside_runs_report_convergence(self):
+        inside = fw_membership(np.zeros((2, 2)), BellPolytope(2, 2))
+        outside = fw_membership(TSIRELSON, BellPolytope(2, 2))
+        assert inside.is_inside and inside.termination == "converged"
+        assert outside.is_outside and outside.termination == "converged"
+        assert "termination" not in inside.to_json_dict()
+        assert "termination" not in outside.to_json_dict()
+
+    def test_unfinished_run_reports_iteration_cap(self):
+        behavior = pm_behavior(pauli_eigenstate_ensemble(), pauli_set("xz", 1.0))
+        verdict = fw_membership(behavior.data, PMPolytope(2, 6, 2), max_iter=1)
+        assert verdict.iterations == 1
+        assert verdict.termination == "iteration_cap"
+        assert fw_membership(behavior.data, PMPolytope(2, 6, 2)).is_inside
+
 
 class TestBruteForce:
     def test_vertex_is_inside_with_unit_weight(self):
@@ -276,6 +388,11 @@ class TestBruteForce:
         verts = np.zeros((20, 2))
         with pytest.raises(EnumerationBudgetError):
             brute_force_membership(np.zeros(2), verts, budget=10)
+
+    def test_verdicts_carry_no_termination(self):
+        verts = np.array([s.vector().ravel() for s in enumerate_sign_assignments(2, 2)])
+        assert brute_force_membership(verts[0], verts).termination is None
+        assert brute_force_membership(np.full(4, 2.0), verts).termination is None
 
 
 class TestAgreement:
