@@ -21,6 +21,7 @@ from .qcore import (
 )
 from .jm import (
     JMVerdict,
+    JMWitness,
     MotherPOVM,
     busch_pair_criterion,
     jm_feasibility,

@@ -5,17 +5,20 @@ decide() tries them in this order:
 
 * a closed-form norm criterion for pairs of unbiased measurements,
 * the exact visibility threshold for the noisy Pauli triple,
-* a one-sided feasibility search for arbitrary finite assemblages that looks
+* a two-sided feasibility search for arbitrary finite assemblages that looks
   for a mother POVM whose deterministic post-processings reproduce every
-  measurement.
+  measurement, or for a dual witness that no such mother exists.
 
 The feasibility search parametrises the mother by one effect per deterministic
 response function lambda: y -> b (2^N outcomes for N measurements).  In Bloch
 coordinates the constraint set is the intersection of a product of ice-cream
 cones (positivity of each effect) with an affine subspace (completeness plus
 the marginalisation identities), so Dykstra's alternating projections apply
-with closed-form projections on both sides.  The search never claims
-incompatibility: it returns a verified mother POVM or Undecided.
+with closed-form projections on both sides.  When the two sets do not meet,
+Dykstra's displacement converges to the gap vector between them (Bauschke and
+Borwein, J. Approx. Theory 79, 1994), which is a Farkas certificate of
+incompatibility.  The search returns a verified mother POVM, a witness
+re-verified in exact rational arithmetic, or Undecided.
 """
 
 from __future__ import annotations
@@ -111,14 +114,85 @@ class MotherPOVM:
         )
 
 
+def _dyadic(values) -> tuple[list[int], int]:
+    """Finite floats as integer numerators over one power-of-two denominator."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _exact_witness_check(
+    ops: tuple[QubitOperator, ...], a: Assemblage
+) -> tuple[bool, float]:
+    """(ops = (z, *f) proves a incompatible, the witness value), both exact.
+
+    Every float is a dyadic rational, so scaling all coefficients of the
+    witness, and separately all of the assemblage, by one power of two makes
+    every comparison an integer one.
+    """
+    coeffs = [c for op in ops for c in (op.s, *op.v)]
+    t_coeffs = [1.0, 0.0, 0.0, 0.0]
+    for m in a:
+        t_coeffs += [m.effect0.s, *m.effect0.v]
+    if len(ops) != len(a) + 1 or not all(map(math.isfinite, coeffs + t_coeffs)):
+        return False, math.nan
+    w, w_den = _dyadic(coeffs)
+    t, t_den = _dyadic(t_coeffs)
+    blocks = [w[:4]]
+    for y in range(1, len(ops)):
+        row = w[4 * y : 4 * y + 4]
+        blocks += [[b + c for b, c in zip(block, row)] for block in blocks]
+    psd = all(s >= 0 and s * s >= x * x + u * u + v * v for s, x, u, v in blocks)
+    dot = sum(wi * ti for wi, ti in zip(w, t))
+    # tr(P Q) is twice the Bloch inner product of P and Q.
+    return psd and dot < 0, 2 * dot / (w_den * t_den)
+
+
+@dataclass(frozen=True)
+class JMWitness:
+    """Farkas certificate that no mother POVM reproduces an assemblage.
+
+    One Hermitian operator per affine constraint of the mother search: z for
+    completeness (sum_k E_k = I) and f[y] for the outcome-0 class of
+    measurement y.  It proves incompatibility when every block
+    z + sum_{y: k(y)=0} f[y], one per response function k, is positive
+    semidefinite while value = tr(z) + sum_y tr(f[y] B_{0|y}) < 0, since a
+    mother POVM would give value = sum_k tr(block_k E_k) >= 0.
+    """
+
+    z: QubitOperator
+    f: tuple[QubitOperator, ...]
+    value: float
+
+    def verify(self, a: Assemblage) -> bool:
+        """Exact re-check that the witness proves a incompatible."""
+        return _exact_witness_check((self.z, *self.f), a)[0]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "z": self.z.to_json_dict(),
+            "f": [op.to_json_dict() for op in self.f],
+            "value": self.value,
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "JMWitness":
+        return cls(
+            QubitOperator.from_json_dict(data["z"]),
+            tuple(QubitOperator.from_json_dict(op) for op in data["f"]),
+            float(data["value"]),
+        )
+
+
 @dataclass(frozen=True)
 class JMVerdict:
     """Outcome of a joint-measurability decision.
 
     status is one of "jm" (with a verified mother POVM), "not_jm" (with the
-    analytic criterion that rejected and its evidence: the rejected pair and
-    its margin, or the triple's visibility), or "undecided" (feasibility
-    residual after the iteration budget).
+    criterion that rejected and its evidence: the rejected pair and its
+    margin, the triple's visibility, or an exactly verified Dykstra gap
+    witness), or "undecided" (feasibility residual after the iteration
+    budget).
     """
 
     status: str
@@ -129,6 +203,7 @@ class JMVerdict:
     pair: tuple[int, int] | None = None
     margin: float | None = None
     visibility: float | None = None
+    witness: JMWitness | None = None
 
     @property
     def is_jm(self) -> bool:
@@ -138,6 +213,8 @@ class JMVerdict:
         out: dict = {"verdict": self.status}
         if self.mother is not None:
             out["mother"] = self.mother.to_json_dict()
+        if self.witness is not None:
+            out["witness"] = self.witness.to_json_dict()
         for key in ("reason", "residual", "iterations", "pair", "margin", "visibility"):
             if (value := getattr(self, key)) is not None:
                 out[key] = value
@@ -215,7 +292,7 @@ def decide(a: Assemblage, max_iter: int = 5000, tol: float = 1e-9) -> JMVerdict:
     An incompatible pair makes the whole set incompatible, so every unbiased
     pair is first screened with the analytic norm criterion; then an
     orthogonal unbiased triple meets its exact threshold; the rest goes to
-    the one-sided feasibility search.
+    the two-sided feasibility search.
     """
     for i, j in itertools.combinations(range(len(a)), 2):
         if a[i].is_unbiased and a[j].is_unbiased:
@@ -257,16 +334,37 @@ def _response_table(n_settings: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product((0, 1), repeat=n_settings))
 
 
+def _gap_witness(
+    r: np.ndarray, incidence: np.ndarray, a: Assemblage
+) -> JMWitness | None:
+    """Witness from the affine residual r = A y - T of a Dykstra step, if it verifies.
+
+    The dual rows W = (A A^T)^-1 r give the step's displacement A^T W, one
+    block per response function.  Raising z's s by the largest cone violation
+    of those blocks (plus a margin for the rounding of this float computation)
+    puts every block in the cone and raises the value by the same amount; the
+    exact check decides.
+    """
+    rows = np.linalg.solve(incidence @ incidence.T, r)
+    mu = _cone_violation(incidence.T @ rows)
+    rows[0, 0] += mu + 2.0**-40 * float(np.abs(rows).sum())
+    ops = tuple(QubitOperator(row[0], row[1:]) for row in rows)
+    certified, value = _exact_witness_check(ops, a)
+    return JMWitness(ops[0], ops[1:], value) if certified else None
+
+
 def jm_feasibility(
     a: Assemblage, max_iter: int = 5000, tol: float = 1e-9
 ) -> JMVerdict:
-    """Search for a mother POVM reproducing the assemblage; one-sided by design.
+    """Search for a mother POVM reproducing the assemblage, or a witness against one.
 
     Runs Dykstra's alternating projections between the product of positivity
     cones and the affine subspace {sum_k E_k = I, sum_{k: k(y)=b} E_k = B_b|y}.
-    Returns a verified mother on success and Undecided otherwise; it never
-    claims incompatibility, which is the job of analytic criteria or of a
-    downstream classical-polytope violation.
+    Returns a verified mother on success.  Each affine projection moves the
+    cone point y by d = A^T W, with W = (A A^T)^-1 (A y - T) one dual row per
+    constraint.  Once <d, x> = <W, T> is negative by more than the cone
+    violation of d, W is turned into a JMWitness and checked in exact
+    arithmetic; a witness that passes gives not_jm.  Undecided otherwise.
     """
     n = len(a)
     if n == 0:
@@ -294,20 +392,32 @@ def jm_feasibility(
         targets[y + 1, 0] = m.effect0.s
         targets[y + 1, 1:] = m.effect0.v
 
-    def affine_project(rows: np.ndarray) -> np.ndarray:
-        return rows - pinv @ (incidence @ rows - targets)
-
-    x = affine_project(np.zeros((n_out, 4)))
+    x = pinv @ targets
     correction = np.zeros_like(x)
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
         y_cone = _cone_project(x + correction)
         correction = x + correction - y_cone
-        x = affine_project(y_cone)
+        r = incidence @ y_cone - targets
+        d = pinv @ r
+        x = y_cone - d
         residual = _cone_violation(x)
         if residual < tol:
             break
+        # x lies in the affine set, so <d, x> = <W, T>: the witness value up
+        # to the raise that puts every block of d in the cone.
+        gap = float(np.vdot(d, x))
+        if gap < 0.0 and gap + _cone_violation(d) < 0.0:
+            witness = _gap_witness(r, incidence, a)
+            if witness is not None:
+                return JMVerdict(
+                    "not_jm",
+                    reason="dykstra-gap-witness",
+                    residual=residual,
+                    iterations=iterations,
+                    witness=witness,
+                )
 
     if residual >= tol:
         return JMVerdict("undecided", residual=residual, iterations=iterations)

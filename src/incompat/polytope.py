@@ -392,6 +392,15 @@ def _affine_weights(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
     return u / u.sum()
 
 
+def _duplicate_row(rows: np.ndarray) -> tuple[int, int] | None:
+    """(i, j) with i < j and rows[i] == rows[j], or None if all rows differ."""
+    for j in range(1, rows.shape[0]):
+        same = np.flatnonzero(np.all(rows[:j] == rows[j], axis=1))
+        if same.size:
+            return int(same[0]), j
+    return None
+
+
 def _min_norm_point(
     rows: np.ndarray, p: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -400,8 +409,10 @@ def _min_norm_point(
     Wolfe's minimum-norm-point iteration: repeatedly add the row most aligned
     with the residual, take Wolfe's affine step on the support (one symmetric
     solve, see _affine_weights), and step back to the simplex, dropping rows
-    that hit zero.  Terminates when no row improves; a support that has become
-    affinely dependent ends the inner loop at the last feasible weights.
+    that hit zero.  Terminates when no row improves.  When the support is
+    affinely dependent, a row that repeats another is merged into it (its
+    weight moves over) and the step is retried; any other dependence ends the
+    inner loop at the last feasible weights.
     """
     k = rows.shape[0]
     w = w.copy()
@@ -433,7 +444,14 @@ def _min_norm_point(
             try:
                 u = _affine_weights(rows[support], p)
             except np.linalg.LinAlgError:
-                break
+                dup = _duplicate_row(rows[support])
+                if dup is None:
+                    break
+                i, j = dup
+                w_s[i] += w_s[j]
+                del support[j]
+                w_s = np.delete(w_s, j)
+                continue
             if float(np.min(u)) >= -1e-12:
                 w_s = np.clip(u, 0.0, None)
                 break

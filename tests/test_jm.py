@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from incompat.cli import main
 from incompat.gallery import pauli_set
 from incompat.jm import (
+    JMWitness,
     MotherPOVM,
     busch_pair_criterion,
     decide,
@@ -19,6 +22,54 @@ from incompat.qcore import Assemblage, DichotomicMeasurement, QubitOperator
 
 def noisy_pair(eta):
     return pauli_set("xz", eta)
+
+
+def exact_value(witness, a):
+    """tr(z) + sum_y tr(f[y] B_{0|y}) in Fraction arithmetic, or None when a
+    block z + sum_{y: k(y)=0} f[y] is not positive semidefinite.
+
+    Independent of the library's own check: a witness refutes a exactly when
+    this is a negative number.
+    """
+    ops = (witness.z, *witness.f)
+    rows = [[Fraction(op.s), *map(Fraction, op.v.tolist())] for op in ops]
+    assert len(rows) == len(a) + 1
+    for k in itertools.product((0, 1), repeat=len(a)):
+        block = rows[0]
+        for y, b in enumerate(k):
+            if b == 0:
+                block = [u + w for u, w in zip(block, rows[y + 1])]
+        s, *v = block
+        if s < 0 or s * s < sum(c * c for c in v):
+            return None
+    value = 2 * rows[0][0]
+    for row, m in zip(rows[1:], a):
+        target = [Fraction(m.effect0.s), *map(Fraction, m.effect0.v.tolist())]
+        value += 2 * sum(u * t for u, t in zip(row, target))
+    return value
+
+
+def certifies(witness, a):
+    """The witness refutes a, checked exactly, and reports its true value."""
+    value = exact_value(witness, a)
+    return value is not None and value < 0 and witness.value == float(value)
+
+
+def near_orthogonal(seed, eta, n=3):
+    """n noisy projective measurements: a triple within 5 degrees of an
+    orthonormal frame, plus a random direction for n = 4."""
+    rng = np.random.default_rng(seed)
+    frame, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    tilt = rng.normal(size=(3, 3))
+    tilt *= np.deg2rad(5.0) * rng.uniform(0.2, 1.0, size=(3, 1)) / np.linalg.norm(
+        tilt, axis=1, keepdims=True
+    )
+    return noisy_set(np.vstack([frame + tilt, rng.normal(size=(n - 3, 3))]), eta)
+
+
+def noisy_set(dirs, eta):
+    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    return Assemblage(tuple(DichotomicMeasurement.noisy_projective(d, eta) for d in dirs))
 
 
 class TestPairCriterion:
@@ -107,9 +158,10 @@ class TestFeasibility:
         assert verdict.mother.completeness_error() < 1e-8
         assert verdict.mother.min_eigenvalue() >= -1e-12
 
-    def test_xz_pair_at_08_stays_undecided(self):
+    def test_xz_pair_at_08_gives_verified_witness(self):
         verdict = jm_feasibility(noisy_pair(0.8))
-        assert verdict.status == "undecided"
+        assert (verdict.status, verdict.reason) == ("not_jm", "dykstra-gap-witness")
+        assert certifies(verdict.witness, noisy_pair(0.8))
         assert verdict.residual > 0
         is_jm, margin = busch_pair_criterion(*noisy_pair(0.8).measurements)
         assert not is_jm and margin < 0
@@ -151,7 +203,11 @@ class TestFeasibility:
                 checked_jm += 1
             elif margin < -1e-3:
                 verdict = jm_feasibility(a, max_iter=5000)
-                assert verdict.status == "undecided", margin
+                assert (verdict.status, verdict.reason) == (
+                    "not_jm",
+                    "dykstra-gap-witness",
+                ), margin
+                assert certifies(verdict.witness, a), margin
                 checked_not += 1
         assert checked_jm > 20 and checked_not > 20
 
@@ -177,3 +233,92 @@ class TestDecide:
             assert report == json.loads(json.dumps(verdict.to_json_dict()))
         assert decide(cases[0][0]).pair == (0, 1)
         assert decide(cases[1][0]).visibility == pytest.approx(0.6)
+
+
+class TestGapWitness:
+    """not_jm from the Dykstra search: exact, sound and tamper-evident."""
+
+    INCOMPATIBLE = [
+        ("xyz just above 1/sqrt(3)", pauli_set("xyz", 0.58)),
+        *[
+            (f"{n} settings, seed {k}", near_orthogonal(10 * n + k, 0.62 + 0.02 * (k % 4), n))
+            for n in (3, 4)
+            for k in range(6)
+        ],
+    ]
+
+    @pytest.mark.parametrize("name,a", INCOMPATIBLE, ids=[n for n, _ in INCOMPATIBLE])
+    def test_incompatible_sets_get_an_exact_witness(self, name, a):
+        verdict = jm_feasibility(a)
+        assert (verdict.status, verdict.reason) == ("not_jm", "dykstra-gap-witness")
+        assert verdict.iterations < 100
+        assert certifies(verdict.witness, a)
+        assert verdict.witness.verify(a)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 5, 50, 5000])
+    def test_compatible_sets_never_get_not_jm(self, max_iter):
+        rng = np.random.default_rng(max_iter)
+        z = QubitOperator(0.5, (0.0, 0.0, 0.5))
+        sets = [
+            pauli_set("xyz", 0.55),
+            Assemblage.from_json_list([z.to_json_dict()] * 3),
+            *[
+                noisy_set(rng.normal(size=(n, 3)), rng.uniform(0.0, 0.5))
+                for n in (2, 3, 4)
+                for _ in range(4)
+            ],
+        ]
+        for a in sets:
+            verdict = jm_feasibility(a, max_iter=max_iter)
+            assert verdict.status != "not_jm"
+            assert verdict.witness is None
+            if max_iter == 5000:
+                assert verdict.is_jm
+
+    @pytest.mark.parametrize(
+        "a", [pauli_set("xyz", 0.58), noisy_pair(0.8), near_orthogonal(3, 0.66, n=4)]
+    )
+    def test_tampered_witness_is_rejected(self, a):
+        witness = jm_feasibility(a).witness
+        # lower z until its tightest block leaves the cone by 1e-6
+        margins = []
+        for k in itertools.product((0, 1), repeat=len(a)):
+            block = witness.z
+            for y, b in enumerate(k):
+                if b == 0:
+                    block = block + witness.f[y]
+            margins.append(block.s - block.vnorm)
+        mu = min(margins)
+        lowered = QubitOperator(witness.z.s - (mu + 1e-6), witness.z.v)
+        # negate the largest f[y]
+        y = max(range(len(a)), key=lambda i: witness.f[i].vnorm + abs(witness.f[i].s))
+        negated = tuple(-op if i == y else op for i, op in enumerate(witness.f))
+        assert certifies(witness, a)
+        for bad in (
+            JMWitness(lowered, witness.f, witness.value),
+            JMWitness(witness.z, negated, witness.value),
+        ):
+            assert not bad.verify(a)
+            value = exact_value(bad, a)
+            assert value is None or value >= 0
+
+    def test_json_round_trip(self):
+        a = near_orthogonal(1, 0.64)
+        witness = jm_feasibility(a).witness
+        back = JMWitness.from_json_dict(json.loads(json.dumps(witness.to_json_dict())))
+        assert back.value == witness.value
+        for u, w in zip((back.z, *back.f), (witness.z, *witness.f)):
+            assert u.s == w.s and np.array_equal(u.v, w.v)
+        assert back.verify(a) and certifies(back, a)
+
+    def test_jm_check_reports_a_witness_that_reverifies(self, tmp_path, capsys):
+        a = near_orthogonal(2, 0.65)
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(a.to_json_list()))
+        code = main(["jm-check", "--assemblage", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["verdict"] == "not_jm"
+        assert report["reason"] == "dykstra-gap-witness"
+        loaded = Assemblage.from_json_list(json.loads(path.read_text()))
+        assert certifies(JMWitness.from_json_dict(report["witness"]), loaded)

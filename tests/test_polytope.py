@@ -262,6 +262,14 @@ class TestInnerProjection:
             assert np.max(np.abs(u - np.array(exact, dtype=float))) <= 1e-12
             checked += 1
 
+    def test_min_norm_point_merges_a_duplicated_support_row(self):
+        # the starting weights already sit on two copies of one vertex
+        rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        p = np.array([0.5, 0.5])
+        w, x = polytope._min_norm_point(rows, p, np.array([0.5, 0.5, 0.0]))
+        assert np.linalg.norm(x - p) < 1e-12
+        assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+
     def test_affine_weights_reject_dependent_rows(self):
         rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
