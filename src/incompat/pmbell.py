@@ -10,7 +10,9 @@ its classical bound intact: the PM bound over two-message strategies on the
 doubled scenario equals the local-hidden-variable bound of the same
 (antisymmetrised) coefficients.  This module implements the crossing in both
 the value-level check and the end-to-end certification pipeline, plus a
-see-saw search over ensembles for the existential quantifier.
+see-saw search over ensembles for the existential quantifier.  Every PM
+classical bound here comes from PMPolytope.lmo, which enumerates encodings or
+response tables, whichever is cheaper, and each bound is computed once.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from .correlations import (
     phi_plus_correlator,
     to_correlators,
 )
+from .gallery import pauli_eigenstate_ensemble
 from .polytope import (
     MembershipVerdict,
     PMPolytope,
     Witness,
     bell_lmo,
     fw_membership,
-    pm_lmo,
 )
 from .qcore import (
     Assemblage,
@@ -131,14 +133,14 @@ def map_pm_witness_to_bell(
     """Cross a doubled-scenario PM correlator witness into the Bell scenario.
 
     The coefficient matrix transfers unchanged (after antisymmetrisation,
-    which is exact on doubled points).  The local bound is recomputed exactly
-    by sign enumeration and must match the two-message PM bound recomputed by
-    strategy enumeration: a mismatch would mean one of the oracles is broken,
-    so it raises rather than returning.
+    which is exact on doubled points).  The local bound is computed exactly
+    by sign enumeration and must match the two-message PM bound of the same
+    coefficients from PMPolytope.lmo: a mismatch would mean one of the
+    oracles is broken, so it raises rather than returning.
     """
     M = _antisymmetrize(np.asarray(witness.M, dtype=float))
     _, l_bell = bell_lmo(M)
-    _, l_pm = pm_lmo(_embed_correlator_witness(M), d=2)
+    _, l_pm = PMPolytope(2, *M.shape).lmo(_embed_correlator_witness(M))
     if abs(l_bell - l_pm) > tol:
         raise AssertionError(
             f"oracle bounds disagree: bell {l_bell!r} vs pm {l_pm!r}"
@@ -207,14 +209,14 @@ class CertificationReport:
 
 
 def _undoubled_bell_certificate(
-    M_doubled: np.ndarray,
-    doubled_ensemble: Ensemble,
-    a: Assemblage,
-    tol: float,
+    M_doubled: np.ndarray, e: Ensemble, a: Assemblage, tol: float
 ) -> BellCertificate:
-    """Reduce the doubled witness to the physical scenario and normalise L to 2."""
-    n = M_doubled.shape[0] // 2
-    top = M_doubled[:n]
+    """Reduce the doubled witness to the physical scenario and normalise L to 2.
+
+    The top half of the antisymmetric doubled witness acts on the original
+    states of e, whose transposes become Alice's measurements.
+    """
+    top = M_doubled[: len(e)]
     _, l_top = bell_lmo(top)
     if l_top <= 0.0:
         raise AssertionError("degenerate Bell witness: nonpositive local bound")
@@ -223,8 +225,7 @@ def _undoubled_bell_certificate(
     if abs(l_check - 2.0) > tol:
         raise AssertionError("local bound did not rescale to 2")
 
-    alice_all = states_to_measurements(doubled_ensemble)
-    alice = Assemblage(alice_all.measurements[:n])
+    alice = states_to_measurements(e)
     q_corr = 0.0
     for x, ma in enumerate(alice):
         for y, mb in enumerate(a):
@@ -238,20 +239,15 @@ def _undoubled_bell_certificate(
     return BellCertificate(coeff, float(l_check), float(q_corr), q_born, alice)
 
 
-def certify_incompatibility(
-    a: Assemblage,
-    e: Ensemble,
-    d: int,
-    eps_in: float = 1e-7,
-    eps_out: float = 1e-7,
-    max_iter: int = 2000,
-) -> CertificationReport:
+def certify_incompatibility(a: Assemblage, e: Ensemble, d: int) -> CertificationReport:
     """Decide whether the ensemble exposes the assemblage as non-classical.
 
     Doubles the ensemble with complements, tests the resulting behaviour
-    against the d-message polytope, and, when the point falls outside with
-    d = 2 and unbiased measurements, carries the witness across to a violated
-    Bell inequality on the maximally entangled state.  Outside at d = 2 also
+    against the d-message polytope with fw_membership's default tolerances,
+    and, when the point falls outside with d = 2 and unbiased measurements,
+    carries the witness across to a violated Bell inequality on the maximally
+    entangled state.  The PM witness keeps the classical bound of
+    fw_membership's final exact oracle call.  Outside at d = 2 also
     establishes that the assemblage is not jointly measurable, since a jointly
     measurable set admits a two-message model for every ensemble.
     """
@@ -263,25 +259,18 @@ def certify_incompatibility(
     doubled = double_ensemble(e)
     behavior = pm_behavior(doubled, a)
     oracle = PMPolytope(d, len(doubled), len(a))
-    verdict = fw_membership(behavior.data, oracle, eps_in, eps_out, max_iter)
+    verdict = fw_membership(behavior.data, oracle)
 
     notes: list[str] = []
     pm_witness: Witness | None = None
     bell_cert: BellCertificate | None = None
     if verdict.is_outside:
         assert verdict.witness is not None
-        p_corr = to_correlators(behavior).values
         pm_witness = _correlator_witness(verdict.witness)
         if d == 2 and a.all_unbiased:
             bell_witness = map_pm_witness_to_bell(pm_witness)
-            q_check = float(np.sum(bell_witness.M * p_corr))
-            if abs(q_check - pm_witness.Q) > 1e-8:
-                notes.append(
-                    "witness antisymmetrisation shifted the achieved value; "
-                    "using the recomputed one"
-                )
             bell_cert = _undoubled_bell_certificate(
-                bell_witness.M, doubled, a, WITNESS_TRANSFER_TOL
+                bell_witness.M, e, a, WITNESS_TRANSFER_TOL
             )
             notes.append(
                 "outside the two-message polytope: the assemblage is not jointly "
@@ -311,20 +300,9 @@ def certify_incompatibility(
     )
 
 
-def _pauli_eigenstate_seeds(n_states: int) -> list[np.ndarray]:
-    axes = [
-        np.array([1.0, 0.0, 0.0]),
-        np.array([-1.0, 0.0, 0.0]),
-        np.array([0.0, 1.0, 0.0]),
-        np.array([0.0, -1.0, 0.0]),
-        np.array([0.0, 0.0, 1.0]),
-        np.array([0.0, 0.0, -1.0]),
-    ]
-    return axes[:n_states]
-
-
 def _diagonal_seeds(a: Assemblage, n_states: int) -> list[np.ndarray]:
-    """Bloch directions bisecting pairs of measurement axes, with complements.
+    """Bloch directions bisecting pairs of measurement axes, with complements,
+    padded with the six Pauli eigenstates.
 
     These are the natural candidates for correlator-type violations: for two
     orthogonal measurement directions they are exactly the optimal settings.
@@ -344,7 +322,7 @@ def _diagonal_seeds(a: Assemblage, n_states: int) -> list[np.ndarray]:
                     dirs.append(cand / norm)
                     dirs.append(-cand / norm)
     while len(dirs) < n_states:
-        dirs.extend(_pauli_eigenstate_seeds(6))
+        dirs.extend(rho.bloch for rho in pauli_eigenstate_ensemble())
     return dirs[:n_states]
 
 
@@ -354,13 +332,17 @@ def _random_pure_ensemble(n_states: int, rng: np.random.Generator) -> Ensemble:
     return Ensemble(tuple(QubitState.pure(v) for v in vecs))
 
 
-def _normalized_violation(witness: Witness, d: int) -> float:
-    """Q - L of the correlator witness rescaled to classical bound 2."""
+def _normalized_violation(witness: Witness) -> float:
+    """Q - L of the correlator witness rescaled to classical bound 2.
+
+    Each strategy's value on M exceeds its value on the embedded correlator
+    witness by the same offset, so the witness's exact L minus that offset is
+    the correlator bound; no oracle call is needed.
+    """
     corr = _correlator_witness(witness)
-    _, l_corr = pm_lmo(_embed_correlator_witness(corr.M), d)
-    if l_corr <= 0.0:
+    if corr.L <= 0.0:
         return 0.0
-    scale = 2.0 / l_corr
+    scale = 2.0 / corr.L
     return scale * corr.Q - 2.0
 
 
@@ -399,7 +381,7 @@ def seesaw_ensemble_search(
         verdict = fw_membership(behavior.data, oracle)
         if verdict.is_outside:
             assert verdict.witness is not None
-            gap = _normalized_violation(verdict.witness, d)
+            gap = _normalized_violation(verdict.witness)
             if gap > best_gap:
                 best_gap = gap
                 best_ensemble = current

@@ -42,13 +42,7 @@ class PMStrategy:
 
     def vector(self) -> np.ndarray:
         """Behaviour array v[x, y, b] = 1 when g[f[x]][y] == b."""
-        n_x = len(self.f)
-        n_y = len(self.g[0])
-        arr = np.zeros((n_x, n_y, 2))
-        for x, a in enumerate(self.f):
-            for y in range(n_y):
-                arr[x, y, self.g[a][y]] = 1.0
-        return arr
+        return np.eye(2)[np.asarray(self.g)[list(self.f)]]
 
     def to_json_dict(self) -> dict:
         return {"f": list(self.f), "g": [list(row) for row in self.g]}
@@ -392,15 +386,6 @@ def _affine_weights(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
     return u / u.sum()
 
 
-def _duplicate_row(rows: np.ndarray) -> tuple[int, int] | None:
-    """(i, j) with i < j and rows[i] == rows[j], or None if all rows differ."""
-    for j in range(1, rows.shape[0]):
-        same = np.flatnonzero(np.all(rows[:j] == rows[j], axis=1))
-        if same.size:
-            return int(same[0]), j
-    return None
-
-
 def _min_norm_point(
     rows: np.ndarray, p: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -410,9 +395,10 @@ def _min_norm_point(
     with the residual, take Wolfe's affine step on the support (one symmetric
     solve, see _affine_weights), and step back to the simplex, dropping rows
     that hit zero.  Terminates when no row improves.  When the support is
-    affinely dependent, a row that repeats another is merged into it (its
-    weight moves over) and the step is retried; any other dependence ends the
-    inner loop at the last feasible weights.
+    affinely dependent, the weights move along a null combination of the
+    support (coefficients summing to zero whose rows sum to zero), which
+    leaves the point unchanged, until one weight reaches zero; that row is
+    dropped and the step is retried.
     """
     k = rows.shape[0]
     w = w.copy()
@@ -444,13 +430,15 @@ def _min_norm_point(
             try:
                 u = _affine_weights(rows[support], p)
             except np.linalg.LinAlgError:
-                dup = _duplicate_row(rows[support])
-                if dup is None:
-                    break
-                i, j = dup
-                w_s[i] += w_s[j]
+                A = np.vstack([rows[support].T, np.ones(len(support))])
+                lam = np.linalg.svd(A)[2][-1]
+                shrinking = lam > 1e-12  # lam has unit norm
+                ratios = np.full(len(support), np.inf)
+                ratios[shrinking] = w_s[shrinking] / lam[shrinking]
+                j = int(np.argmin(ratios))
+                w_s = w_s - ratios[j] * lam
                 del support[j]
-                w_s = np.delete(w_s, j)
+                w_s = np.clip(np.delete(w_s, j), 0.0, None)
                 continue
             if float(np.min(u)) >= -1e-12:
                 w_s = np.clip(u, 0.0, None)
@@ -487,7 +475,9 @@ def fw_membership(
     eps_in (the active set is the decomposition); Outside when the residual
     direction M = point - projection certifies Q - L > eps_out, with L from a
     final exact oracle call and the emitted witness rescaled to unit maximum
-    coefficient; Undecided otherwise, with bracketing distance bounds.
+    coefficient; Undecided otherwise, with bracketing distance bounds.  The
+    decision reuses the oracle value the last iteration computed for the
+    residual, so an Outside run makes iterations + 2 exact oracle calls.
     """
     p = np.asarray(point, dtype=float).ravel()
     expected = int(np.prod(polytope.point_shape))
@@ -502,11 +492,12 @@ def fw_membership(
     rows = [polytope.vertex(strat)]
     seen = {strat}
     w = np.array([1.0])
+    x = rows[0]
+    best = None  # oracle value at the residual p - x, once an iteration has one
     iterations = 0
     termination = "iteration_cap"
     for iterations in range(1, max_iter + 1):
-        V = np.asarray(rows)
-        w, x = _min_norm_point(V, p, w)
+        w, x = _min_norm_point(np.asarray(rows), p, w)
         g = p - x
         strat, best = polytope.lmo(g)
         if best - float(g @ x) <= gap_tol:
@@ -520,9 +511,8 @@ def fw_membership(
         seen.add(strat)
         w = np.append(w, 0.0)
 
-    V = np.asarray(rows)
-    x = w @ V
-    dist = float(np.linalg.norm(p - x))
+    direction = p - x
+    dist = float(np.linalg.norm(direction))
     keep = w > 1e-12
     kept_strategies = tuple(s for s, flag in zip(strategies, keep) if flag)
     kept_weights = w[keep]
@@ -539,10 +529,10 @@ def fw_membership(
             reconstruction_error=dist,
         )
 
-    direction = p - x
-    _, bound = polytope.lmo(direction)
+    if best is None:
+        _, best = polytope.lmo(direction)
     achieved = float(direction @ p)
-    if achieved - bound > eps_out:
+    if achieved - best > eps_out:
         scale = float(np.max(np.abs(direction)))
         M = (direction / scale).reshape(polytope.point_shape)
         _, L = polytope.lmo(M)
@@ -551,11 +541,11 @@ def fw_membership(
             return verdict(
                 "outside",
                 witness=Witness(M, L, Q),
-                distance_lower=(achieved - bound) / float(np.linalg.norm(direction)),
+                distance_lower=(achieved - best) / dist,
                 distance_upper=dist,
             )
 
-    lower = max(0.0, achieved - bound) / float(np.linalg.norm(direction))
+    lower = max(0.0, achieved - best) / dist
     return verdict("undecided", distance_lower=lower, distance_upper=dist)
 
 

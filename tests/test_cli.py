@@ -141,6 +141,23 @@ class TestCertify:
             2 * math.sqrt(2) * 0.75, abs=1e-6
         )
 
+    def test_twelve_random_states_exit_0(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "gallery", "pauli", "--eta", "0.9")
+        assert code == 0
+        assemblage = write_json(tmp_path / "a.json", json.loads(out))
+        vecs = np.random.default_rng(0).normal(size=(12, 3))
+        vecs *= 0.5 / np.linalg.norm(vecs, axis=1, keepdims=True)
+        ensemble = write_json(
+            tmp_path / "e.json", [{"s": 0.5, "v": v.tolist()} for v in vecs]
+        )
+        code, out, _ = run_cli(
+            capsys, "certify", "--assemblage", assemblage, "--ensemble", ensemble, "--dim", "2"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"]["verdict"] == "outside"
+        assert report["bell_certificate"]["local_bound"] == pytest.approx(2.0)
+
 
 class TestMembershipCommands:
     def test_pm_membership_dim4_inside(self, pauli_triple_075, tmp_path, capsys):

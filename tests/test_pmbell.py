@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from incompat.correlations import pm_correlators
+from incompat.correlations import pm_behavior, pm_correlators
 from incompat.gallery import pauli_set
 from incompat.pmbell import (
     certify_incompatibility,
@@ -13,7 +13,7 @@ from incompat.pmbell import (
     seesaw_ensemble_search,
     states_to_measurements,
 )
-from incompat.polytope import Witness, bell_lmo, pm_lmo
+from incompat.polytope import PMPolytope, Witness, bell_lmo, fw_membership, pm_lmo
 from incompat.qcore import (
     Assemblage,
     DichotomicMeasurement,
@@ -196,6 +196,15 @@ class TestCertification:
         assert report.bell is None
         assert any("unbiased" in note for note in report.notes)
 
+    def test_twelve_random_states_certify_with_bell_certificate(self):
+        # 2^24 doubled encodings exceed the oracle budget; 2^6 response tables do not
+        vecs = np.random.default_rng(0).normal(size=(12, 3))
+        e = Ensemble(tuple(QubitState.pure(v) for v in vecs))
+        report = certify_incompatibility(pauli_set("xyz", 0.9), e, 2)
+        assert report.verdict.is_outside
+        assert report.bell is not None
+        assert report.bell.quantum_value > report.bell.local_bound == pytest.approx(2.0)
+
     def test_report_json_shape(self):
         report = certify_incompatibility(pauli_set("xyz", 0.8), diagonal_ensemble(), 2)
         payload = report.to_json_dict()
@@ -239,3 +248,24 @@ class TestSeesaw:
         )
         assert gap == 0.0
         assert all(x.op.isclose(y.op) for x, y in zip(best, e0))
+
+    def test_twenty_four_states_complete(self):
+        # 2^24 encodings exceed the oracle budget; 2^6 response tables do not
+        best, gap = seesaw_ensemble_search(
+            pauli_set("xyz", 0.9), 2, rounds=2, n_states=24, rng=np.random.default_rng(0)
+        )
+        assert len(best) == 24
+        assert gap > 0.0
+
+    def test_gap_matches_a_fresh_encoding_bound(self):
+        a = pauli_set("xyz", 0.9)
+        best, gap = seesaw_ensemble_search(
+            a, 2, rounds=4, n_states=6, rng=np.random.default_rng(5)
+        )
+        assert gap > 0.0
+        verdict = fw_membership(pm_behavior(best, a).data, PMPolytope(2, 6, 3))
+        M = verdict.witness.M
+        W = (M[:, :, 0] - M[:, :, 1]) / 2.0
+        offset = float(np.sum(M[:, :, 0] + M[:, :, 1]) / 2.0)
+        _, L = pm_lmo(np.stack([W, -W], axis=-1), 2)
+        assert gap == pytest.approx(2.0 * (verdict.witness.Q - offset) / L - 2.0, abs=1e-12)

@@ -270,6 +270,14 @@ class TestInnerProjection:
         assert np.linalg.norm(x - p) < 1e-12
         assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
 
+    def test_min_norm_point_leaves_a_dependent_support(self):
+        # three collinear distinct rows carry the start; the fourth is needed
+        rows = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+        p = np.array([0.5, 0.5])
+        w, x = polytope._min_norm_point(rows, p, np.array([1.0, 1.0, 1.0, 0.0]) / 3.0)
+        assert np.linalg.norm(x - p) < 1e-12
+        assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+
     def test_affine_weights_reject_dependent_rows(self):
         rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
@@ -363,6 +371,23 @@ class TestFWMembership:
         assert verdict.iterations == 1
         assert verdict.termination == "iteration_cap"
         assert fw_membership(behavior.data, PMPolytope(2, 6, 2)).is_inside
+
+    def test_outside_run_calls_the_oracle_once_per_iteration_plus_two(self):
+        class Counting(BellPolytope):
+            calls = 0
+
+            def lmo(self, M):
+                self.calls += 1
+                return super().lmo(M)
+
+        poly = Counting(2, 2)
+        verdict = fw_membership(TSIRELSON, poly)
+        assert verdict.is_outside
+        assert poly.calls == verdict.iterations + 2
+        poly = Counting(2, 2)
+        verdict = fw_membership(TSIRELSON, poly, max_iter=0)
+        assert verdict.iterations == 0 and verdict.status in ("outside", "undecided")
+        assert poly.calls == (3 if verdict.is_outside else 2)
 
 
 class TestBruteForce:
