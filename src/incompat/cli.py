@@ -245,7 +245,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assemblage", required=True)
     p.add_argument("--ensemble")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seesaw", type=int, default=0, metavar="ROUNDS")
+    p.add_argument(
+        "--seesaw",
+        type=int,
+        default=0,
+        metavar="ROUNDS",
+        help="see-saw rounds before certifying (nonnegative); 0 means none with "
+        "--ensemble and 20 without",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=_cmd_certify)

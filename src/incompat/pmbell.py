@@ -363,8 +363,13 @@ def seesaw_ensemble_search(
     pairwise bisectors of the measurement axes.  Returns the best ensemble
     found and its certified violation (Q - L of the correlator witness in the
     bound-2 normalisation), or the initial ensemble and 0.0 when every round
-    stayed classical.
+    stayed classical.  rounds must be nonnegative.  After a climb, Frank-Wolfe
+    warm-starts from the last verdict's active set; a restart starts cold.  A
+    behaviour met again (such as the bisector seed after every other restart)
+    reuses its first verdict instead of being decided again.
     """
+    if rounds < 0:
+        raise ValueError(f"see-saw rounds must be nonnegative, got {rounds}")
     rng = rng if rng is not None else np.random.default_rng()
     if initial is not None:
         current = initial
@@ -376,9 +381,14 @@ def seesaw_ensemble_search(
     best_gap = 0.0
     best_ensemble: Ensemble | None = None
     restart_count = 0
+    warm: tuple = ()
+    verdicts: dict[bytes, MembershipVerdict] = {}
     for _ in range(rounds + 1):
         behavior = pm_behavior(current, a)
-        verdict = fw_membership(behavior.data, oracle)
+        key = behavior.data.tobytes()
+        if key not in verdicts:
+            verdicts[key] = fw_membership(behavior.data, oracle, start=warm)
+        verdict = verdicts[key]
         if verdict.is_outside:
             assert verdict.witness is not None
             gap = _normalized_violation(verdict.witness)
@@ -386,7 +396,9 @@ def seesaw_ensemble_search(
                 best_gap = gap
                 best_ensemble = current
             current = _climb(current, verdict.witness, a)
+            warm = verdict.active
         else:
+            warm = ()
             if restart_count % 2 == 0:
                 seeds = _diagonal_seeds(a, n_states)
                 current = Ensemble(tuple(QubitState.pure(s) for s in seeds))

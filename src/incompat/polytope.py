@@ -96,9 +96,11 @@ class MembershipVerdict:
     Inside verdicts carry the active vertices (strategy objects where the
     oracle produced them, otherwise raw vertex rows) and their weights;
     Undecided verdicts carry two-sided bounds on the Euclidean distance from
-    the point to the polytope.  termination, kept out of the JSON report, says
-    why Frank-Wolfe stopped: "converged" (dual gap within tolerance),
-    "repeated_vertex" or "iteration_cap"; None for simplex verdicts.
+    the point to the polytope.  Kept out of the JSON report and None for
+    simplex verdicts: termination says why Frank-Wolfe stopped ("converged",
+    dual gap within tolerance, "repeated_vertex" or "iteration_cap"), and
+    active holds its final active strategies (weights above 1e-12) whatever
+    the status, to warm-start a run on a nearby point.
     """
 
     status: str
@@ -111,6 +113,7 @@ class MembershipVerdict:
     distance_upper: float | None = None
     iterations: int = 0
     termination: str | None = None
+    active: tuple | None = None
 
     @property
     def is_inside(self) -> bool:
@@ -467,6 +470,7 @@ def fw_membership(
     eps_in: float = 1e-7,
     eps_out: float = 1e-7,
     max_iter: int = 2000,
+    start: Sequence = (),
 ) -> MembershipVerdict:
     """Classify a point against the polytope served by the given oracle.
 
@@ -478,6 +482,10 @@ def fw_membership(
     coefficient; Undecided otherwise, with bracketing distance bounds.  The
     decision reuses the oracle value the last iteration computed for the
     residual, so an Outside run makes iterations + 2 exact oracle calls.
+
+    A non-empty start (strategies of the same polytope, such as a previous
+    verdict's active set) warm-starts the run: they replace the oracle's
+    vertex for the point as the first vertex set, which saves that call.
     """
     p = np.asarray(point, dtype=float).ravel()
     expected = int(np.prod(polytope.point_shape))
@@ -487,11 +495,12 @@ def fw_membership(
         )
     gap_tol = 1e-12 * max(1.0, float(p @ p))
 
-    strat, _ = polytope.lmo(p)
-    strategies = [strat]
-    rows = [polytope.vertex(strat)]
-    seen = {strat}
-    w = np.array([1.0])
+    strategies = list(start) or [polytope.lmo(p)[0]]
+    rows = [polytope.vertex(s) for s in strategies]
+    if any(r.size != expected for r in rows):
+        raise ValueError(f"start strategies must have vertices of {expected} entries")
+    seen = set(strategies)
+    w = np.eye(len(rows))[0]
     x = rows[0]
     best = None  # oracle value at the residual p - x, once an iteration has one
     iterations = 0
@@ -518,7 +527,10 @@ def fw_membership(
     kept_weights = w[keep]
     kept_weights = kept_weights / kept_weights.sum()
     verdict = functools.partial(
-        MembershipVerdict, iterations=iterations, termination=termination
+        MembershipVerdict,
+        iterations=iterations,
+        termination=termination,
+        active=kept_strategies,
     )
 
     if dist < eps_in:

@@ -264,3 +264,15 @@ class TestErrorHandling:
         )
         assert code == 1
         assert json.loads(out)["verdict"] == "undecided"
+
+    @pytest.mark.parametrize("with_ensemble", [False, True])
+    def test_negative_seesaw_rounds_exit_2(
+        self, pauli_triple_075, tmp_path, capsys, with_ensemble
+    ):
+        args = ["certify", "--assemblage", pauli_triple_075, "--dim", "2", "--seesaw", "-3"]
+        if with_ensemble:
+            states = [{"s": 0.5, "v": [0.5, 0.0, 0.0]}, {"s": 0.5, "v": [0.0, 0.0, 0.5]}]
+            args += ["--ensemble", write_json(tmp_path / "e.json", states)]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert "rounds" in err

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from incompat import pmbell
 from incompat.correlations import pm_behavior, pm_correlators
 from incompat.gallery import pauli_set
 from incompat.pmbell import (
@@ -269,3 +270,58 @@ class TestSeesaw:
         offset = float(np.sum(M[:, :, 0] + M[:, :, 1]) / 2.0)
         _, L = pm_lmo(np.stack([W, -W], axis=-1), 2)
         assert gap == pytest.approx(2.0 * (verdict.witness.Q - offset) / L - 2.0, abs=1e-12)
+
+    def test_negative_rounds_are_rejected(self):
+        with pytest.raises(ValueError, match="rounds"):
+            seesaw_ensemble_search(pauli_set("xyz", 0.9), 2, rounds=-1)
+
+    def test_each_distinct_ensemble_is_decided_once(self, monkeypatch):
+        a = pauli_set("xyz", 0.5)
+        visited, decided = [], []
+
+        def behavior(e, a):
+            visited.append(tuple(tuple(rho.bloch) for rho in e))
+            return pm_behavior(e, a)
+
+        def membership(point, oracle, **kwargs):
+            decided.append(point.tobytes())
+            return fw_membership(point, oracle, **kwargs)
+
+        monkeypatch.setattr(pmbell, "pm_behavior", behavior)
+        monkeypatch.setattr(pmbell, "fw_membership", membership)
+        _, gap = seesaw_ensemble_search(
+            a, 2, rounds=8, n_states=4, rng=np.random.default_rng(2)
+        )
+        assert gap == 0.0
+        assert len(visited) == 9
+        # every round is inside, so the bisector seed comes back after every
+        # other restart: four visits, one decision
+        assert max(visited.count(e) for e in visited) == 4
+        assert len(decided) == len(set(decided)) == len(set(visited)) == 6
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_warm_and_cold_searches_find_the_same_gap(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        dirs = rng.normal(size=(4, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        a = Assemblage(tuple(DichotomicMeasurement.noisy_projective(d, 0.95) for d in dirs))
+
+        def search():
+            return seesaw_ensemble_search(
+                a, 2, rounds=10, n_states=8, rng=np.random.default_rng(seed)
+            )
+
+        starts = []
+
+        def cold(point, oracle, start=()):
+            starts.append(len(start))
+            return fw_membership(point, oracle)
+
+        best_warm, gap_warm = search()
+        monkeypatch.setattr(pmbell, "fw_membership", cold)
+        best_cold, gap_cold = search()
+        assert any(starts), "no round would have been warm-started"
+        assert gap_warm > 0.0
+        assert gap_warm == pytest.approx(gap_cold, abs=1e-9)
+        for x, y in zip(best_warm, best_cold):
+            assert np.allclose(x.bloch, y.bloch, atol=1e-8)

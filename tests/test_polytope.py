@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -388,6 +389,81 @@ class TestFWMembership:
         verdict = fw_membership(TSIRELSON, poly, max_iter=0)
         assert verdict.iterations == 0 and verdict.status in ("outside", "undecided")
         assert poly.calls == (3 if verdict.is_outside else 2)
+
+
+class Counting(BellPolytope):
+    """Bell oracle that counts its calls."""
+
+    calls = 0
+
+    def lmo(self, M):
+        self.calls += 1
+        return super().lmo(M)
+
+
+# Vertices of a square face, so the four of them are affinely dependent:
+# the sign vectors (beta_1, beta_2) on a 1 x 2 Bell scenario, and the response
+# tables of a one-message, two-setting PM scenario.
+SQUARE_FACES = [
+    (
+        BellPolytope(1, 2),
+        [SignAssignment((1,), b) for b in itertools.product((1, -1), repeat=2)],
+    ),
+    (
+        PMPolytope(1, 1, 2),
+        [PMStrategy((0,), (g,)) for g in itertools.product((0, 1), repeat=2)],
+    ),
+]
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("poly, corral", SQUARE_FACES)
+    def test_square_face_corral_decides_inside(self, poly, corral):
+        rows = np.array([poly.vertex(s) for s in corral])
+        assert np.linalg.matrix_rank(np.hstack([rows, np.ones((4, 1))])) == 3
+        point = np.array([0.1, 0.2, 0.3, 0.4]) @ rows
+        verdict = fw_membership(point, poly, start=corral)
+        assert verdict.is_inside and verdict.reconstruction_error < 1e-12
+        rebuilt = sum(w * poly.vertex(s) for w, s in zip(verdict.weights, verdict.strategies))
+        assert np.linalg.norm(rebuilt - point) < 1e-12
+        assert verdict.active == verdict.strategies
+
+    def test_outside_run_calls_the_oracle_once_per_iteration_plus_one(self):
+        cold = fw_membership(TSIRELSON, BellPolytope(2, 2))
+        assert cold.is_outside and cold.active
+        assert "active" not in cold.to_json_dict()
+        poly = Counting(2, 2)
+        point = 0.9 * TSIRELSON
+        verdict = fw_membership(point, poly, start=cold.active)
+        assert verdict.is_outside
+        assert poly.calls == verdict.iterations + 1
+        assert verdict.witness.L == bell_lmo(verdict.witness.M)[1]
+        assert verdict.witness.Q == float(verdict.witness.M.ravel() @ point.ravel())
+
+    def test_warm_and_cold_runs_agree(self):
+        rng = np.random.default_rng(28)
+        poly = BellPolytope(3, 3)
+        for _ in range(30):
+            point = rng.uniform(-1.3, 1.3, size=(3, 3))
+            cold = fw_membership(point, poly)
+            moved = point + rng.normal(scale=0.05, size=(3, 3))
+            warm = fw_membership(moved, poly, start=cold.active)
+            fresh = fw_membership(moved, poly)
+            assert warm.status == fresh.status
+            if warm.is_outside:
+                assert warm.distance_upper == pytest.approx(fresh.distance_upper, abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "poly, strategy",
+        [
+            (BellPolytope(2, 2), SignAssignment((1, 1, 1), (1, -1))),
+            (PMPolytope(2, 3, 2), PMStrategy((0, 1), ((0, 0), (1, 1)))),
+        ],
+    )
+    def test_start_of_another_shape_is_rejected(self, poly, strategy):
+        point = np.zeros(poly.point_shape)
+        with pytest.raises(ValueError, match="start"):
+            fw_membership(point, poly, start=[strategy])
 
 
 class TestBruteForce:
