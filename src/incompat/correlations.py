@@ -18,8 +18,8 @@ from .qcore import (
     ATOL_ALGEBRA,
     Assemblage,
     Ensemble,
+    PHI_PLUS_VEC,
     QubitOperator,
-    born_bell_phi_plus,
     born_pm,
     trace_product,
     transpose,
@@ -123,11 +123,17 @@ def pm_behavior(e: Ensemble, a: Assemblage) -> BehaviorTable:
 
 
 def bell_behavior_phi_plus(alice: Assemblage, bob: Assemblage) -> BehaviorTable:
-    """p(a, b|x, y) on the maximally entangled state, via the dense Born rule."""
-    table = np.empty((len(alice), len(bob), 2, 2))
-    for x, ma in enumerate(alice):
-        for y, mb in enumerate(bob):
-            table[x, y] = born_bell_phi_plus(ma, mb)
+    """p(a, b|x, y) on the maximally entangled state, via the dense Born rule.
+
+    born_bell_phi_plus for all pairs at once, with the same arithmetic: one
+    broadcast product builds every A_a|x (x) B_b|y, axes (x, y, a, b, i, j,
+    k, l) for entry [2i + j, 2k + l], and one stacked product sandwiches them.
+    """
+    A = np.array([(m.effect0.matrix(), m.effect1.matrix()) for m in alice]).reshape(-1, 2, 2, 2)
+    B = np.array([(m.effect0.matrix(), m.effect1.matrix()) for m in bob]).reshape(-1, 2, 2, 2)
+    ops = A[:, None, :, None, :, None, :, None] * B[None, :, None, :, None, :, None, :]
+    ops = ops.reshape(len(alice), len(bob), 2, 2, 4, 4)
+    table = np.real(np.conj(PHI_PLUS_VEC) @ (ops @ PHI_PLUS_VEC)[..., None])[..., 0]
     return BehaviorTable("bell", table)
 
 

@@ -292,8 +292,11 @@ def decide(a: Assemblage, max_iter: int = 5000, tol: float = 1e-9) -> JMVerdict:
     An incompatible pair makes the whole set incompatible, so every unbiased
     pair is first screened with the analytic norm criterion; then an
     orthogonal unbiased triple meets its exact threshold; the rest goes to
-    the two-sided feasibility search.
+    the two-sided feasibility search.  A negative max_iter or a tolerance
+    that is not positive raises before any screen runs.
     """
+    if not (max_iter >= 0 and tol > 0.0):
+        raise ValueError(f"need max_iter >= 0 and tol > 0, got {max_iter} and {tol}")
     for i, j in itertools.combinations(range(len(a)), 2):
         if a[i].is_unbiased and a[j].is_unbiased:
             is_jm, margin = busch_pair_criterion(a[i], a[j])

@@ -411,13 +411,19 @@ def seesaw_ensemble_search(
 
 
 def _climb(e: Ensemble, witness: Witness, a: Assemblage) -> Ensemble:
-    """Per-state best response to a behaviour witness, in closed form."""
-    states = []
-    for x, rho in enumerate(e):
-        direction = np.zeros(3)
-        for y, m in enumerate(a):
-            direction += witness.M[x, y, 0] * m.effect0.v
-            direction += witness.M[x, y, 1] * m.effect1.v
-        norm = np.linalg.norm(direction)
-        states.append(QubitState.pure(direction) if norm > 1e-12 else rho)
-    return Ensemble(tuple(states))
+    """Per-state best response to a behaviour witness, in closed form.
+
+    State x moves along sum_yb M[x,y,b] v_b|y (kept where that vanishes).
+    The loop runs over settings for all states at once, adding in the
+    per-state order, so the result is the same to the bit.
+    """
+    directions = np.zeros((len(e), 3))
+    for y, m in enumerate(a):
+        directions += witness.M[:, y, 0, None] * m.effect0.v
+        directions += witness.M[:, y, 1, None] * m.effect1.v
+    return Ensemble(
+        tuple(
+            QubitState.pure(direction) if np.linalg.norm(direction) > 1e-12 else rho
+            for rho, direction in zip(e, directions)
+        )
+    )

@@ -227,19 +227,19 @@ def pm_lmo(
     const = float(M[:, :, 0].sum())
 
     def score(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vals = np.full(T.shape[1], const)
-        for mask in T:
-            D = mask @ diff
-            np.maximum(D, 0.0, out=D)
-            vals += D.sum(axis=1)
+        # One product for all messages; their row sums are then added to
+        # const one message at a time, in message order.
+        D = T @ diff
+        np.maximum(D, 0.0, out=D)
+        vals = D.sum(axis=2).sum(axis=0, initial=const)
         return vals, vals  # the encoding alone decodes the winner
 
     f, _, _ = _lex_argmax(d, n_x, score, budget, "encodings")
     flat = M.reshape(n_x, n_y * 2)
     group = np.stack([(f == a).astype(float) @ flat for a in range(d)])
     table = group.reshape(d, n_y, 2)
-    g = tuple(tuple(int(b) for b in np.argmax(table[a], axis=1)) for a in range(d))
-    return PMStrategy(tuple(int(a) for a in f), g), float(table.max(axis=2).sum())
+    g = tuple(map(tuple, table.argmax(axis=2).tolist()))
+    return PMStrategy(tuple(f.tolist()), g), float(table.max(axis=2).sum())
 
 
 def _pm_lmo_over_responses(
@@ -260,8 +260,8 @@ def _pm_lmo_over_responses(
         return per_message.max(axis=1).sum(axis=1), per_message
 
     bits, value, table = _lex_argmax(2, d * n_y, score, budget, "response tables")
-    f = tuple(int(a) for a in np.argmax(table, axis=0))
-    g = tuple(tuple(int(b) for b in row) for row in bits.reshape(d, n_y))
+    f = tuple(table.argmax(axis=0).tolist())
+    g = tuple(map(tuple, bits.reshape(d, n_y).tolist()))
     return PMStrategy(f, g), value
 
 
@@ -413,7 +413,7 @@ def _min_norm_point(
         obj = float(g @ g)
         scores = rows @ g
         base = float(x @ g)
-        i_star = int(np.argmin(scores))
+        i_star = int(scores.argmin())
         if float(scores[i_star]) >= base - 1e-13 * (1.0 + abs(base)):
             break
         if obj >= obj_prev - 1e-15 * (1.0 + obj_prev):
@@ -438,20 +438,20 @@ def _min_norm_point(
                 shrinking = lam > 1e-12  # lam has unit norm
                 ratios = np.full(len(support), np.inf)
                 ratios[shrinking] = w_s[shrinking] / lam[shrinking]
-                j = int(np.argmin(ratios))
+                j = int(ratios.argmin())
                 w_s = w_s - ratios[j] * lam
                 del support[j]
-                w_s = np.clip(np.delete(w_s, j), 0.0, None)
+                w_s = np.maximum(np.delete(w_s, j), 0.0)
                 continue
-            if float(np.min(u)) >= -1e-12:
-                w_s = np.clip(u, 0.0, None)
+            if float(u.min()) >= -1e-12:
+                w_s = np.maximum(u, 0.0)
                 break
             # Step from w_s towards u until the first weight reaches zero.
             # Some u_i < -1e-12 while w_s >= 0, so that step shrinks and theta
             # is in [0, 1); both w_s and u sum to 1, so a weight stays positive.
             step = u - w_s
             shrinking = step < -1e-15
-            theta = float(np.min(w_s[shrinking] / -step[shrinking]))
+            theta = float((w_s[shrinking] / -step[shrinking]).min())
             w_s = w_s + theta * step
             w_s[w_s < 1e-14] = 0.0
             keep = w_s > 0.0
@@ -482,11 +482,17 @@ def fw_membership(
     coefficient; Undecided otherwise, with bracketing distance bounds.  The
     decision reuses the oracle value the last iteration computed for the
     residual, so an Outside run makes iterations + 2 exact oracle calls.
+    eps_in must be positive, eps_out and max_iter nonnegative.
 
     A non-empty start (strategies of the same polytope, such as a previous
     verdict's active set) warm-starts the run: they replace the oracle's
     vertex for the point as the first vertex set, which saves that call.
+    The weights begin uniform over them, so the first projection takes one
+    affine step on the whole set (null steps reduce a dependent one).
     """
+    if not (eps_in > 0.0 and eps_out >= 0.0 and max_iter >= 0):
+        bad = f"{eps_in}, {eps_out}, {max_iter}"
+        raise ValueError(f"need eps_in > 0, eps_out >= 0, max_iter >= 0; got {bad}")
     p = np.asarray(point, dtype=float).ravel()
     expected = int(np.prod(polytope.point_shape))
     if p.size != expected:
@@ -496,17 +502,17 @@ def fw_membership(
     gap_tol = 1e-12 * max(1.0, float(p @ p))
 
     strategies = list(start) or [polytope.lmo(p)[0]]
-    rows = [polytope.vertex(s) for s in strategies]
-    if any(r.size != expected for r in rows):
+    rows = np.array([polytope.vertex(s) for s in strategies])
+    if rows.shape[1] != expected:
         raise ValueError(f"start strategies must have vertices of {expected} entries")
     seen = set(strategies)
-    w = np.eye(len(rows))[0]
-    x = rows[0]
+    w = np.full(len(rows), 1.0 / len(rows))
+    x = w @ rows
     best = None  # oracle value at the residual p - x, once an iteration has one
     iterations = 0
     termination = "iteration_cap"
     for iterations in range(1, max_iter + 1):
-        w, x = _min_norm_point(np.asarray(rows), p, w)
+        w, x = _min_norm_point(rows, p, w)
         g = p - x
         strat, best = polytope.lmo(g)
         if best - float(g @ x) <= gap_tol:
@@ -516,7 +522,7 @@ def fw_membership(
             termination = "repeated_vertex"
             break
         strategies.append(strat)
-        rows.append(polytope.vertex(strat))
+        rows = np.vstack((rows, polytope.vertex(strat)))
         seen.add(strat)
         w = np.append(w, 0.0)
 

@@ -206,6 +206,8 @@ class DichotomicMeasurement:
         cls, direction: Iterable[float], eta: float
     ) -> "DichotomicMeasurement":
         """effect0 = eta |phi><phi| + (1 - eta) I/2 along the given Bloch direction."""
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"visibility must lie in [0, 1], got {eta}")
         d = _as_vec3(direction)
         n = np.linalg.norm(d)
         if n == 0.0:

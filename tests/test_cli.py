@@ -276,3 +276,45 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and out == ""
         assert "rounds" in err
+
+
+class TestArgumentChecks:
+    """Tolerances, budgets and visibilities out of range are malformed input."""
+
+    @pytest.fixture
+    def eigenstates(self, tmp_path, capsys):
+        _, out, _ = run_cli(capsys, "gallery", "pauli-eigenstates")
+        path = tmp_path / "e.json"
+        path.write_text(out)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "extra", [["--eps-in", "0"], ["--eps-in=-1e-7"], ["--eps-out", "-1"], ["--max-iter", "-3"]]
+    )
+    def test_pm_membership_exits_2(self, eigenstates, pauli_triple_075, capsys, extra):
+        code, out, err = run_cli(
+            capsys, "pm-membership", "--ensemble", eigenstates,
+            "--assemblage", pauli_triple_075, "--dim", "2", *extra,
+        )
+        assert code == 2 and out == "" and "eps_in" in err
+
+    def test_bell_membership_exits_2(self, tmp_path, capsys):
+        table = {"kind": "full", "shape": [2, 2], "data": [0.5, 0.5, 0.5, -0.5]}
+        path = write_json(tmp_path / "c.json", table)
+        code, out, err = run_cli(capsys, "bell-membership", "--correlators", path, "--eps-in", "0")
+        assert code == 2 and out == "" and "eps_in" in err
+
+    @pytest.mark.parametrize("axes, eta", [("xy", "0.5"), ("xz", "0.8")])
+    @pytest.mark.parametrize("extra", [["--max-iter", "-5"], ["--tol", "-1"], ["--tol", "0"]])
+    def test_jm_check_exits_2(self, tmp_path, capsys, axes, eta, extra):
+        _, out, _ = run_cli(capsys, "gallery", "pauli", "--axes", axes, "--eta", eta)
+        path = tmp_path / "a.json"
+        path.write_text(out)
+        code, out, err = run_cli(capsys, "jm-check", "--assemblage", str(path), *extra)
+        assert code == 2 and out == "" and "max_iter" in err
+
+    @pytest.mark.parametrize("name", ["pauli", "planar", "snub-cube"])
+    @pytest.mark.parametrize("eta", ["1.5", "-0.25"])
+    def test_gallery_visibility_out_of_range_exits_2(self, capsys, name, eta):
+        code, out, err = run_cli(capsys, "gallery", name, "--eta", eta)
+        assert code == 2 and out == "" and "visibility" in err

@@ -20,6 +20,7 @@ from incompat.qcore import (
     Ensemble,
     QubitOperator,
     QubitState,
+    born_bell_phi_plus,
     max_entangled_2,
     trace_product,
 )
@@ -173,3 +174,22 @@ class TestSingleCorrelatorIdentity:
         corr = to_correlators(table)
         back_c = CorrelatorTable.from_json_dict(corr.to_json_dict())
         assert np.allclose(back_c.values, corr.values)
+
+
+class TestBellBehaviorOnePass:
+    def test_matches_the_per_pair_born_rule(self):
+        rng = np.random.default_rng(41)
+        for n_a, n_b in [(1, 1), (3, 2), (8, 5), (2, 7)]:
+            alice = Assemblage(tuple(random_unbiased(rng) for _ in range(n_a)))
+            # biased effects too: s away from 1/2
+            bob = Assemblage(
+                tuple(
+                    DichotomicMeasurement(QubitOperator(s, min(s, 1 - s) * random_state(rng).op.v))
+                    for s in rng.uniform(0.1, 0.9, size=n_b)
+                )
+            )
+            table = bell_behavior_phi_plus(alice, bob).data
+            assert table.shape == (n_a, n_b, 2, 2)
+            for x, ma in enumerate(alice):
+                for y, mb in enumerate(bob):
+                    assert np.max(np.abs(table[x, y] - born_bell_phi_plus(ma, mb))) <= 1e-15

@@ -322,3 +322,14 @@ class TestGapWitness:
         assert report["reason"] == "dykstra-gap-witness"
         loaded = Assemblage.from_json_list(json.loads(path.read_text()))
         assert certifies(JMWitness.from_json_dict(report["witness"]), loaded)
+
+
+class TestDecideArguments:
+    @pytest.mark.parametrize("a", [pauli_set("xy", 0.5), pauli_set("xz", 0.8)])
+    @pytest.mark.parametrize("kwargs", [{"max_iter": -5}, {"tol": -1.0}, {"tol": 0.0}])
+    def test_bad_budget_or_tolerance_raises_whether_or_not_a_screen_fires(self, a, kwargs):
+        with pytest.raises(ValueError, match="max_iter"):
+            decide(a, **kwargs)
+
+    def test_zero_budget_stays_legal(self):
+        assert decide(pauli_set("xy", 0.5), max_iter=0).status == "undecided"

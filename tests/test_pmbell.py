@@ -325,3 +325,37 @@ class TestSeesaw:
         assert gap_warm == pytest.approx(gap_cold, abs=1e-9)
         for x, y in zip(best_warm, best_cold):
             assert np.allclose(x.bloch, y.bloch, atol=1e-8)
+
+
+def _climb_per_state(e, witness, a):
+    """The see-saw's best response, one state at a time."""
+    states = []
+    for x, rho in enumerate(e):
+        direction = np.zeros(3)
+        for y, m in enumerate(a):
+            direction += witness.M[x, y, 0] * m.effect0.v
+            direction += witness.M[x, y, 1] * m.effect1.v
+        norm = np.linalg.norm(direction)
+        states.append(QubitState.pure(direction) if norm > 1e-12 else rho)
+    return Ensemble(tuple(states))
+
+
+class TestClimb:
+    def test_matches_the_per_state_loop_to_the_bit(self):
+        rng = np.random.default_rng(43)
+        for k in range(60):
+            n_x, n_y = int(rng.integers(1, 17)), int(rng.integers(1, 7))
+            a = random_unbiased_assemblage(rng, n_y)
+            e = random_ensemble(rng, n_x)
+            M = rng.normal(size=(n_x, n_y, 2))
+            if k % 3 == 0:
+                M[0] = 0.0  # a state with no direction keeps its place
+            witness = Witness(M, 0.0, 1.0)
+            climbed = pmbell._climb(e, witness, a)
+            reference = _climb_per_state(e, witness, a)
+            assert len(climbed) == n_x
+            for rho, ref in zip(climbed, reference):
+                assert rho.op.s == ref.op.s
+                assert np.array_equal(rho.op.v, ref.op.v)
+            if k % 3 == 0:
+                assert climbed[0] is e[0]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -529,3 +530,139 @@ class TestAgreement:
             assert fw.status == bf.status
             agreements += 1
         assert agreements >= 90
+
+
+def _reference_pm_lmo(M, d):
+    """pm_lmo with a score loop over messages and per-entry decoding.
+
+    The plain form of the oracle: per message, the encoding's group sums of
+    the outcome difference, clipped at zero and added to the constant in
+    message order.
+    """
+    n_x, n_y, _ = M.shape
+    diff = M[:, :, 1] - M[:, :, 0]
+    const = float(M[:, :, 0].sum())
+
+    def score(T):
+        vals = np.full(T.shape[1], const)
+        for mask in T:
+            D = mask @ diff
+            np.maximum(D, 0.0, out=D)
+            vals += D.sum(axis=1)
+        return vals, vals
+
+    f, _, _ = polytope._lex_argmax(d, n_x, score, 10**7, "encodings")
+    flat = M.reshape(n_x, n_y * 2)
+    table = np.stack([(f == a).astype(float) @ flat for a in range(d)]).reshape(d, n_y, 2)
+    g = tuple(tuple(int(b) for b in np.argmax(table[a], axis=1)) for a in range(d))
+    return PMStrategy(tuple(int(a) for a in f), g), float(table.max(axis=2).sum())
+
+
+def _reference_pm_lmo_over_responses(M, d):
+    """The response-table oracle with per-entry decoding."""
+    n_x, n_y, _ = M.shape
+    base = M[:, :, 0].sum(axis=1)
+    delta = (M[:, :, 1] - M[:, :, 0]).T
+
+    def score(T):
+        per_message = (T[1].reshape(-1, n_y) @ delta).reshape(-1, d, n_x)
+        per_message += base
+        return per_message.max(axis=1).sum(axis=1), per_message
+
+    bits, value, table = polytope._lex_argmax(2, d * n_y, score, 10**7, "response tables")
+    f = tuple(int(a) for a in np.argmax(table, axis=0))
+    g = tuple(tuple(int(b) for b in row) for row in bits.reshape(d, n_y))
+    return PMStrategy(f, g), value
+
+
+def _assert_python_ints(strategy):
+    assert all(type(a) is int for a in strategy.f)
+    assert all(type(b) is int for row in strategy.g for b in row)
+    json.dumps(strategy.to_json_dict())
+
+
+class TestOnePassOracles:
+    """Both PM routes against their per-message, per-entry reference forms."""
+
+    # (d, n_x, n_y, calls); the last two walk four and three chunks
+    SHAPES = [(2, 3, 2, 40), (2, 8, 3, 40), (3, 5, 2, 40), (4, 4, 2, 20), (2, 6, 5, 20),
+              (2, 17, 2, 2), (3, 10, 2, 2)]
+
+    @staticmethod
+    def _coefficients(rng, shape, k):
+        # integer-valued draws make many exact ties
+        if k % 2:
+            return rng.integers(-2, 3, size=shape).astype(float)
+        return rng.normal(size=shape)
+
+    @pytest.mark.parametrize("d, n_x, n_y, calls", SHAPES)
+    def test_encoding_route_matches_the_reference(self, d, n_x, n_y, calls):
+        rng = np.random.default_rng(1000 * d + 10 * n_x + n_y)
+        for k in range(calls):
+            M = self._coefficients(rng, (n_x, n_y, 2), k)
+            strategy, value = pm_lmo(M, d)
+            ref_strategy, ref_value = _reference_pm_lmo(M, d)
+            assert strategy == ref_strategy
+            assert value == ref_value
+            _assert_python_ints(strategy)
+
+    @pytest.mark.parametrize("d, n_x, n_y, calls", SHAPES[:5])
+    def test_response_route_matches_the_reference(self, d, n_x, n_y, calls):
+        rng = np.random.default_rng(2000 * d + 10 * n_x + n_y)
+        for k in range(calls):
+            M = self._coefficients(rng, (n_x, n_y, 2), k)
+            strategy, value = polytope._pm_lmo_over_responses(M, d, 10**7)
+            assert (strategy, value) == _reference_pm_lmo_over_responses(M, d)
+            _assert_python_ints(strategy)
+
+
+class TestBarycentricStart:
+    @pytest.mark.parametrize(
+        "poly, corral",
+        [
+            (BellPolytope(2, 2), list(enumerate_sign_assignments(2, 2))[:3]),
+            (PMPolytope(2, 3, 2), list(enumerate_pm_strategies(2, 3, 2))[5:9]),
+        ],
+    )
+    def test_no_iteration_reports_the_distance_to_the_start_mean(self, poly, corral):
+        point = np.full(poly.point_shape, 2.0)
+        mean = np.mean([poly.vertex(s) for s in corral], axis=0)
+        verdict = fw_membership(point, poly, start=corral, max_iter=0)
+        assert verdict.iterations == 0
+        expected = float(np.linalg.norm(point.ravel() - mean))
+        assert verdict.distance_upper == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("poly, corral", SQUARE_FACES)
+    def test_square_face_corral_takes_the_null_step(self, poly, corral, monkeypatch):
+        singular = []
+        solve = polytope._affine_weights
+
+        def affine_weights(rows, p):
+            try:
+                return solve(rows, p)
+            except np.linalg.LinAlgError:
+                singular.append(len(rows))
+                raise
+
+        monkeypatch.setattr(polytope, "_affine_weights", affine_weights)
+        rows = np.array([poly.vertex(s) for s in corral])
+        point = np.array([0.0, 0.25, 0.5, 0.25]) @ rows
+        verdict = fw_membership(point, poly, start=corral)
+        assert singular and singular[0] == 4  # the whole start was dependent
+        assert verdict.is_inside and verdict.reconstruction_error < 1e-12
+
+
+class TestFWArguments:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"eps_in": 0.0}, {"eps_in": -1e-7}, {"eps_out": -1e-7}, {"max_iter": -3},
+         {"eps_in": float("nan")}],
+    )
+    def test_bad_tolerance_or_budget_is_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="eps_in"):
+            fw_membership(TSIRELSON, BellPolytope(2, 2), **kwargs)
+
+    def test_zero_eps_out_is_legal(self):
+        # on a vertex the distance is 0, which eps_in = 0 could not call inside
+        vertex = SignAssignment((1, 1), (1, -1)).vector()
+        assert fw_membership(vertex, BellPolytope(2, 2), eps_out=0.0).is_inside

@@ -233,3 +233,14 @@ class TestJsonRoundTrips:
         mat[0, 1] = 1.0
         with pytest.raises(ValueError):
             TwoQubitOperator(mat)
+
+
+class TestNoisyProjective:
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    def test_visibility_in_range_is_kept(self, eta):
+        assert DichotomicMeasurement.noisy_projective((0, 0, 2), eta).visibility == eta
+
+    @pytest.mark.parametrize("eta", [1.5, -0.1, float("nan")])
+    def test_visibility_out_of_range_is_rejected(self, eta):
+        with pytest.raises(ValueError, match="visibility"):
+            DichotomicMeasurement.noisy_projective((0, 0, 1), eta)
