@@ -29,7 +29,7 @@ from .qcore import (
 
 
 def _check_observable(op: QubitOperator, name: str) -> None:
-    if operator_norm(op) > 1.0 + ATOL_VALID:
+    if not operator_norm(op) <= 1.0 + ATOL_VALID:  # NaN fails too
         raise ValueError(f"{name} must have eigenvalues in [-1, 1]")
 
 

@@ -3,10 +3,10 @@
 Every subcommand reads JSON files in the library's standard encodings, writes
 one JSON report to stdout, and uses the exit code to summarise the outcome:
 0 for a decided run, 1 when a requested certification came back undecided,
-2 for malformed input (with a diagnostic on stderr).  Reports embed the
-library version and echo all parameters; with a fixed --seed, identical
-invocations produce byte-identical reports (wall-clock timings are therefore
-opt-in via --timings).
+2 for malformed input, non-finite numbers included (with a diagnostic on
+stderr).  Reports embed the library version and echo every option except
+--timings; with a fixed --seed, identical invocations produce byte-identical
+reports (wall-clock timings are therefore opt-in via --timings).
 """
 
 from __future__ import annotations
@@ -27,141 +27,92 @@ from .polytope import BellPolytope, PMPolytope, fw_membership
 from .qcore import Assemblage, Ensemble, QubitOperator, validate
 
 
-def _load_json(path: str):
+def _load(path: str, decode):
+    """decode() applied to the JSON in path; its ValueError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    try:
+        return decode(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_assemblage(path: str) -> Assemblage:
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a JSON array of operators")
-    a = Assemblage.from_json_list(data)
-    issue = validate(a)
+def _load_list(path: str, cls):
+    """An Ensemble or an Assemblage, loaded from path and validated."""
+    obj = _load(path, cls.from_json_list)
+    issue = validate(obj)
     if issue is not None:
         raise ValueError(f"{path}: {issue.message}")
-    return a
+    return obj
 
 
-def _load_ensemble(path: str) -> Ensemble:
-    data = _load_json(path)
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a JSON array of operators")
-    e = Ensemble.from_json_list(data)
-    issue = validate(e)
-    if issue is not None:
-        raise ValueError(f"{path}: {issue.message}")
-    return e
-
-
-def _load_operator(path: str) -> QubitOperator:
-    data = _load_json(path)
-    if not isinstance(data, dict) or "s" not in data or "v" not in data:
-        raise ValueError(f'{path}: expected an operator object {{"s": .., "v": [..]}}')
-    return QubitOperator.from_json_dict(data)
-
-
-def _load_correlators(path: str) -> CorrelatorTable:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a correlator table object")
-    table = CorrelatorTable.from_json_dict(data)
-    table.check(atol=1e-9)
-    return table
-
-
-def _report(command: str, parameters: dict, payload: dict) -> dict:
-    return {
-        "tool": "incompat",
-        "version": __version__,
-        "command": command,
-        "parameters": parameters,
-        **payload,
-    }
-
-
-def _emit(report) -> None:
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
+def _dump(obj) -> None:
+    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
 
-def _cmd_jm_check(args: argparse.Namespace) -> int:
-    a = _load_assemblage(args.assemblage)
-    params = {
-        "assemblage": args.assemblage,
-        "max_iter": args.max_iter,
-        "tol": args.tol,
+def _emit(args: argparse.Namespace, payload: dict, status: str = "") -> int:
+    """Print the report of one run; the exit code is 1 when status is undecided."""
+    parameters = {
+        k: v for k, v in vars(args).items() if k not in ("command", "func", "timings")
     }
+    _dump(
+        {
+            "tool": "incompat",
+            "version": __version__,
+            "command": args.command,
+            "parameters": parameters,
+            **payload,
+        }
+    )
+    return 1 if status == "undecided" else 0
+
+
+def _membership(args: argparse.Namespace, point: np.ndarray, oracle) -> int:
+    verdict = fw_membership(point, oracle, args.eps_in, args.eps_out, args.max_iter)
+    return _emit(args, verdict.to_json_dict(), verdict.status)
+
+
+def _cmd_jm_check(args: argparse.Namespace) -> int:
+    a = _load_list(args.assemblage, Assemblage)
     verdict = decide(a, max_iter=args.max_iter, tol=args.tol)
-    _emit(_report("jm-check", params, verdict.to_json_dict()))
-    return 1 if verdict.status == "undecided" else 0
+    return _emit(args, verdict.to_json_dict(), verdict.status)
 
 
 def _cmd_pm_membership(args: argparse.Namespace) -> int:
-    e = _load_ensemble(args.ensemble)
-    a = _load_assemblage(args.assemblage)
-    behavior = pm_behavior(e, a)
+    e = _load_list(args.ensemble, Ensemble)
+    a = _load_list(args.assemblage, Assemblage)
     oracle = PMPolytope(args.dim, len(e), len(a))
-    verdict = fw_membership(
-        behavior.data, oracle, args.eps_in, args.eps_out, args.max_iter
-    )
-    params = {
-        "ensemble": args.ensemble,
-        "assemblage": args.assemblage,
-        "dim": args.dim,
-        "eps_in": args.eps_in,
-        "eps_out": args.eps_out,
-        "max_iter": args.max_iter,
-    }
-    _emit(_report("pm-membership", params, verdict.to_json_dict()))
-    return 1 if verdict.status == "undecided" else 0
+    return _membership(args, pm_behavior(e, a).data, oracle)
 
 
 def _cmd_bell_membership(args: argparse.Namespace) -> int:
-    table = _load_correlators(args.correlators)
+    table = _load(args.correlators, CorrelatorTable.from_json_dict)
+    table.check(atol=1e-9)
     if table.kind != "full":
         raise ValueError("bell-membership expects a full correlator table")
-    n_a, n_b = table.shape
-    verdict = fw_membership(
-        table.values, BellPolytope(n_a, n_b), args.eps_in, args.eps_out, args.max_iter
-    )
-    params = {
-        "correlators": args.correlators,
-        "eps_in": args.eps_in,
-        "eps_out": args.eps_out,
-        "max_iter": args.max_iter,
-    }
-    _emit(_report("bell-membership", params, verdict.to_json_dict()))
-    return 1 if verdict.status == "undecided" else 0
+    return _membership(args, table.values, BellPolytope(*table.shape))
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    a = _load_assemblage(args.assemblage)
+    a = _load_list(args.assemblage, Assemblage)
     rng = np.random.default_rng(args.seed)
-    params = {
-        "assemblage": args.assemblage,
-        "ensemble": args.ensemble,
-        "dim": args.dim,
-        "seesaw": args.seesaw,
-        "seed": args.seed,
-    }
     if args.ensemble is not None:
-        e = _load_ensemble(args.ensemble)
+        e = _load_list(args.ensemble, Ensemble)
         if args.seesaw:
             e, _ = seesaw_ensemble_search(
                 a, args.dim, args.seesaw, rng=rng, initial=e
             )
     else:
-        rounds = args.seesaw if args.seesaw else 20
-        e, _ = seesaw_ensemble_search(a, args.dim, rounds, rng=rng)
+        e, _ = seesaw_ensemble_search(a, args.dim, args.seesaw or 20, rng=rng)
     report = certify_incompatibility(a, e, args.dim)
-    _emit(_report("certify", params, report.to_json_dict(include_timings=args.timings)))
-    return 1 if report.verdict.status == "undecided" else 0
+    payload = report.to_json_dict(include_timings=args.timings)
+    return _emit(args, payload, report.verdict.status)
 
 
 def _cmd_chsh_bound(args: argparse.Namespace) -> int:
-    b0 = _load_operator(args.b0)
-    b1 = _load_operator(args.b1)
+    b0 = _load(args.b0, QubitOperator.from_json_dict)
+    b1 = _load(args.b1, QubitOperator.from_json_dict)
     bound = chsh_norm_bound(b0, b1)
     payload: dict = {
         "bound": bound,
@@ -174,34 +125,32 @@ def _cmd_chsh_bound(args: argparse.Namespace) -> int:
             "a1": a1.to_json_dict(),
             "value": value,
         }
-    params = {"b0": args.b0, "b1": args.b1, "attain": args.attain}
-    _emit(_report("chsh-bound", params, payload))
-    return 0
+    return _emit(args, payload)
+
+
+_GALLERY = {
+    "pauli": lambda args: pauli_set(args.axes, args.eta),
+    "planar": lambda args: planar_set(args.n, args.eta),
+    "snub-cube": lambda args: snub_cube_set(args.eta, mirror=args.mirror),
+    "pauli-eigenstates": lambda args: pauli_eigenstate_ensemble(),
+}
 
 
 def _cmd_gallery(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "pauli":
-        scenario = pauli_set(args.axes, args.eta).to_json_list()
-    elif name == "planar":
-        scenario = planar_set(args.n, args.eta).to_json_list()
-    elif name == "snub-cube":
-        scenario = snub_cube_set(args.eta, mirror=args.mirror).to_json_list()
-    elif name == "pauli-eigenstates":
-        scenario = pauli_eigenstate_ensemble().to_json_list()
-    else:
-        raise ValueError(f"unknown gallery scenario {name!r}")
-    _emit(scenario)
+    _dump(_GALLERY[args.name](args).to_json_list())
     return 0
 
 
 def _cmd_equality_check(args: argparse.Namespace) -> int:
-    e = _load_ensemble(args.ensemble)
-    a = _load_assemblage(args.assemblage)
-    deviation = check_correlator_equality(e, a)
-    params = {"ensemble": args.ensemble, "assemblage": args.assemblage}
-    _emit(_report("equality-check", params, {"max_deviation": deviation}))
-    return 0
+    e = _load_list(args.ensemble, Ensemble)
+    a = _load_list(args.assemblage, Assemblage)
+    return _emit(args, {"max_deviation": check_correlator_equality(e, a)})
+
+
+def _add_fw_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--eps-in", type=float, default=1e-7)
+    p.add_argument("--eps-out", type=float, default=1e-7)
+    p.add_argument("--max-iter", type=int, default=2000)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -229,16 +178,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", required=True)
     p.add_argument("--assemblage", required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--eps-in", type=float, default=1e-7)
-    p.add_argument("--eps-out", type=float, default=1e-7)
-    p.add_argument("--max-iter", type=int, default=2000)
+    _add_fw_options(p)
     p.set_defaults(func=_cmd_pm_membership)
 
     p = sub.add_parser("bell-membership", help="local-model test for full correlators")
     p.add_argument("--correlators", required=True)
-    p.add_argument("--eps-in", type=float, default=1e-7)
-    p.add_argument("--eps-out", type=float, default=1e-7)
-    p.add_argument("--max-iter", type=int, default=2000)
+    _add_fw_options(p)
     p.set_defaults(func=_cmd_bell_membership)
 
     p = sub.add_parser("certify", help="end-to-end incompatibility certification")
@@ -264,9 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chsh_bound)
 
     p = sub.add_parser("gallery", help="emit a named scenario as JSON")
-    p.add_argument(
-        "name", choices=["pauli", "planar", "snub-cube", "pauli-eigenstates"]
-    )
+    p.add_argument("name", choices=list(_GALLERY))
     p.add_argument("--eta", type=float, default=1.0)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--axes", default="xyz")
@@ -286,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"incompat: error: {exc}", file=sys.stderr)
         return 2
 

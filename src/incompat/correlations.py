@@ -21,6 +21,7 @@ from .qcore import (
     PHI_PLUS_VEC,
     QubitOperator,
     born_pm,
+    is_json_number,
     trace_product,
     transpose,
 )
@@ -97,7 +98,8 @@ class CorrelatorTable:
         return self.values.shape
 
     def check(self, atol: float = ATOL_ALGEBRA) -> None:
-        if np.max(np.abs(self.values)) > 1.0 + atol:
+        """Raise ValueError unless every entry lies in [-1, 1]; NaN does not."""
+        if not np.max(np.abs(self.values)) <= 1.0 + atol:
             raise ValueError("correlator entries must lie in [-1, 1]")
 
     def to_json_dict(self) -> dict:
@@ -109,6 +111,16 @@ class CorrelatorTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelatorTable":
+        """Decode ``{"kind", "shape": [rows, cols], "data": [numbers]}``; else ValueError."""
+        if not (
+            isinstance(data, dict)
+            and "kind" in data
+            and isinstance(data.get("shape"), list)
+            and all(isinstance(n, int) and not isinstance(n, bool) for n in data["shape"])
+            and isinstance(data.get("data"), list)
+            and all(map(is_json_number, data["data"]))
+        ):
+            raise ValueError("expected a correlator table object")
         arr = np.asarray(data["data"], dtype=float).reshape(data["shape"])
         return cls(data["kind"], arr)
 

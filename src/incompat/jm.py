@@ -286,6 +286,11 @@ def _orthogonal_triple_visibility(a: Assemblage) -> float | None:
     return etas[0]
 
 
+def _check_budget(max_iter: int, tol: float) -> None:
+    if not (max_iter >= 0 and tol > 0.0):
+        raise ValueError(f"need max_iter >= 0 and tol > 0, got {max_iter} and {tol}")
+
+
 def decide(a: Assemblage, max_iter: int = 5000, tol: float = 1e-9) -> JMVerdict:
     """Joint-measurability verdict from the cheapest screen that settles it.
 
@@ -295,8 +300,7 @@ def decide(a: Assemblage, max_iter: int = 5000, tol: float = 1e-9) -> JMVerdict:
     the two-sided feasibility search.  A negative max_iter or a tolerance
     that is not positive raises before any screen runs.
     """
-    if not (max_iter >= 0 and tol > 0.0):
-        raise ValueError(f"need max_iter >= 0 and tol > 0, got {max_iter} and {tol}")
+    _check_budget(max_iter, tol)
     for i, j in itertools.combinations(range(len(a)), 2):
         if a[i].is_unbiased and a[j].is_unbiased:
             is_jm, margin = busch_pair_criterion(a[i], a[j])
@@ -368,7 +372,9 @@ def jm_feasibility(
     constraint.  Once <d, x> = <W, T> is negative by more than the cone
     violation of d, W is turned into a JMWitness and checked in exact
     arithmetic; a witness that passes gives not_jm.  Undecided otherwise.
+    A negative max_iter or a tolerance that is not positive raises.
     """
+    _check_budget(max_iter, tol)
     n = len(a)
     if n == 0:
         raise ValueError("assemblage is empty")

@@ -127,9 +127,7 @@ def _correlator_witness(witness: Witness) -> Witness:
     return Witness(W, witness.L - offset, witness.Q - offset)
 
 
-def map_pm_witness_to_bell(
-    witness: Witness, tol: float = WITNESS_TRANSFER_TOL
-) -> Witness:
+def map_pm_witness_to_bell(witness: Witness) -> Witness:
     """Cross a doubled-scenario PM correlator witness into the Bell scenario.
 
     The coefficient matrix transfers unchanged (after antisymmetrisation,
@@ -141,7 +139,7 @@ def map_pm_witness_to_bell(
     M = _antisymmetrize(np.asarray(witness.M, dtype=float))
     _, l_bell = bell_lmo(M)
     _, l_pm = PMPolytope(2, *M.shape).lmo(_embed_correlator_witness(M))
-    if abs(l_bell - l_pm) > tol:
+    if abs(l_bell - l_pm) > WITNESS_TRANSFER_TOL:
         raise AssertionError(
             f"oracle bounds disagree: bell {l_bell!r} vs pm {l_pm!r}"
         )
@@ -209,7 +207,7 @@ class CertificationReport:
 
 
 def _undoubled_bell_certificate(
-    M_doubled: np.ndarray, e: Ensemble, a: Assemblage, tol: float
+    M_doubled: np.ndarray, e: Ensemble, a: Assemblage
 ) -> BellCertificate:
     """Reduce the doubled witness to the physical scenario and normalise L to 2.
 
@@ -222,7 +220,7 @@ def _undoubled_bell_certificate(
         raise AssertionError("degenerate Bell witness: nonpositive local bound")
     coeff = (2.0 / l_top) * top
     _, l_check = bell_lmo(coeff)
-    if abs(l_check - 2.0) > tol:
+    if abs(l_check - 2.0) > WITNESS_TRANSFER_TOL:
         raise AssertionError("local bound did not rescale to 2")
 
     alice = states_to_measurements(e)
@@ -269,9 +267,7 @@ def certify_incompatibility(a: Assemblage, e: Ensemble, d: int) -> Certification
         pm_witness = _correlator_witness(verdict.witness)
         if d == 2 and a.all_unbiased:
             bell_witness = map_pm_witness_to_bell(pm_witness)
-            bell_cert = _undoubled_bell_certificate(
-                bell_witness.M, e, a, WITNESS_TRANSFER_TOL
-            )
+            bell_cert = _undoubled_bell_certificate(bell_witness.M, e, a)
             notes.append(
                 "outside the two-message polytope: the assemblage is not jointly "
                 "measurable, and the attached Bell inequality is violated on the "

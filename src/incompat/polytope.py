@@ -320,18 +320,16 @@ class PMPolytope:
     differs, and each route is itself deterministic.
     """
 
-    def __init__(
-        self, d: int, n_x: int, n_y: int, budget: int = DEFAULT_ORACLE_BUDGET
-    ) -> None:
+    def __init__(self, d: int, n_x: int, n_y: int) -> None:
         self.d = int(d)
         self.n_x = int(n_x)
         self.n_y = int(n_y)
-        self.budget = int(budget)
         cost_f = self.d**self.n_x
         cost_g = 2 ** (self.d * self.n_y) if self.d * self.n_y < 60 else float("inf")
-        if min(cost_f, cost_g) > self.budget:
+        if min(cost_f, cost_g) > DEFAULT_ORACLE_BUDGET:
             raise EnumerationBudgetError(
-                f"PM oracle for d={d}, n_x={n_x}, n_y={n_y} exceeds budget {budget}"
+                f"PM oracle for d={d}, n_x={n_x}, n_y={n_y} exceeds budget "
+                f"{DEFAULT_ORACLE_BUDGET}"
             )
         self._use_g_route = cost_g < cost_f
 
@@ -342,8 +340,8 @@ class PMPolytope:
     def lmo(self, M: np.ndarray) -> tuple[PMStrategy, float]:
         M = np.asarray(M, dtype=float).reshape(self.point_shape)
         if self._use_g_route:
-            return _pm_lmo_over_responses(M, self.d, self.budget)
-        return pm_lmo(M, self.d, self.budget)
+            return _pm_lmo_over_responses(M, self.d, DEFAULT_ORACLE_BUDGET)
+        return pm_lmo(M, self.d)
 
     def vertex(self, strategy: PMStrategy) -> np.ndarray:
         return strategy.vector().ravel()
@@ -352,12 +350,9 @@ class PMPolytope:
 class BellPolytope:
     """LMO adapter for the Bell full-correlator polytope."""
 
-    def __init__(
-        self, n_a: int, n_b: int, budget: int = DEFAULT_ORACLE_BUDGET
-    ) -> None:
+    def __init__(self, n_a: int, n_b: int) -> None:
         self.n_a = int(n_a)
         self.n_b = int(n_b)
-        self.budget = int(budget)
 
     @property
     def point_shape(self) -> tuple[int, ...]:
@@ -365,7 +360,7 @@ class BellPolytope:
 
     def lmo(self, M: np.ndarray) -> tuple[SignAssignment, float]:
         M = np.asarray(M, dtype=float).reshape(self.point_shape)
-        return bell_lmo(M, self.budget)
+        return bell_lmo(M)
 
     def vertex(self, strategy: SignAssignment) -> np.ndarray:
         return strategy.vector().ravel()
@@ -572,14 +567,13 @@ def fw_membership(
 # ---------------------------------------------------------------------------
 
 
-def _phase1_simplex(
-    A: np.ndarray, b: np.ndarray, tol: float = 1e-9
-) -> tuple[bool, np.ndarray, np.ndarray]:
+def _phase1_simplex(A: np.ndarray, b: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
     """Solve min sum(artificials) s.t. A x + artificials = b, x >= 0.
 
-    Returns (feasible, x, y) where y is the dual vector of the phase-1
-    optimum; on infeasibility y separates: y @ A <= 0 componentwise while
-    y @ b > 0.  Uses Bland's rule, so it cannot cycle.
+    Returns (feasible, x, y): feasible when the phase-1 optimum is at most
+    1e-9, and y is the dual vector of that optimum; on infeasibility y
+    separates: y @ A <= 0 componentwise while y @ b > 0.  Uses Bland's rule,
+    so it cannot cycle.
     """
     m, n = A.shape
     A = A.copy()
@@ -643,13 +637,12 @@ def _phase1_simplex(
     reduced = cost - y_basis
     y = 1.0 - reduced[n:]
     y[flip] *= -1.0
-    return objective <= tol, x, y
+    return objective <= 1e-9, x, y
 
 
 def brute_force_membership(
     point: np.ndarray,
     vertices: Sequence[np.ndarray] | np.ndarray,
-    tol: float = 1e-9,
     budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> MembershipVerdict:
     """Exact hull membership against an explicit vertex list.
@@ -671,7 +664,7 @@ def brute_force_membership(
 
     A = np.vstack([V.T, np.ones((1, n))])
     b = np.append(p, 1.0)
-    feasible, w, y = _phase1_simplex(A, b, tol)
+    feasible, w, y = _phase1_simplex(A, b)
     if feasible:
         w = np.clip(w, 0.0, None)
         w = w / w.sum()

@@ -11,6 +11,8 @@ operators).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -25,6 +27,13 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENT_2 = np.eye(2, dtype=complex)
+
+
+def is_json_number(x) -> bool:
+    """True for a float or an int within float range; JSON's true and false are not numbers."""
+    return isinstance(x, float) or (
+        isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    )
 
 
 def _as_vec3(v: Iterable[float]) -> np.ndarray:
@@ -95,7 +104,15 @@ class QubitOperator:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QubitOperator":
-        return cls(float(data["s"]), [float(c) for c in data["v"]])
+        """Decode ``{"s": number, "v": [3 numbers]}``; anything else raises ValueError."""
+        if not (
+            isinstance(data, dict)
+            and is_json_number(data.get("s"))
+            and isinstance(data.get("v"), list)
+            and all(map(is_json_number, data["v"]))
+        ):
+            raise ValueError('expected an operator object {"s": .., "v": [..]}')
+        return cls(data["s"], data["v"])
 
     @classmethod
     def identity(cls) -> "QubitOperator":
@@ -327,6 +344,8 @@ class Ensemble:
 
     @classmethod
     def from_json_list(cls, data: Sequence[dict]) -> "Ensemble":
+        if not isinstance(data, list):
+            raise ValueError("expected a JSON array of operators")
         return cls(tuple(QubitState.from_json_dict(d) for d in data))
 
     @classmethod
@@ -361,6 +380,8 @@ class Assemblage:
 
     @classmethod
     def from_json_list(cls, data: Sequence[dict]) -> "Assemblage":
+        if not isinstance(data, list):
+            raise ValueError("expected a JSON array of operators")
         return cls(tuple(DichotomicMeasurement.from_json_dict(d) for d in data))
 
 
@@ -373,7 +394,13 @@ class Violation:
     message: str
 
 
+def _is_finite(op: QubitOperator) -> bool:
+    return math.isfinite(op.s) and bool(np.isfinite(op.v).all())
+
+
 def _validate_state(rho: QubitState, idx: int) -> Violation | None:
+    if not _is_finite(rho.op):
+        return Violation(idx, "finite", f"state {idx} has a non-finite coefficient")
     if abs(rho.op.s - 0.5) > ATOL_VALID:
         return Violation(idx, "trace", f"state {idx} has trace {rho.op.trace():.6g} != 1")
     if rho.op.vnorm > rho.op.s + ATOL_VALID:
@@ -385,6 +412,8 @@ def _validate_state(rho: QubitState, idx: int) -> Violation | None:
 
 def _validate_measurement(m: DichotomicMeasurement, idx: int) -> Violation | None:
     e = m.effect0
+    if not _is_finite(e):
+        return Violation(idx, "finite", f"effect {idx} has a non-finite coefficient")
     if not -ATOL_VALID <= e.s <= 1.0 + ATOL_VALID:
         return Violation(idx, "psd", f"effect {idx} has s = {e.s:.6g} outside [0, 1]")
     if e.vnorm > e.s + ATOL_VALID:

@@ -318,3 +318,138 @@ class TestArgumentChecks:
     def test_gallery_visibility_out_of_range_exits_2(self, capsys, name, eta):
         code, out, err = run_cli(capsys, "gallery", name, "--eta", eta)
         assert code == 2 and out == "" and "visibility" in err
+
+
+class TestParametersEcho:
+    """Every report echoes each option as parsed, except --timings."""
+
+    @pytest.fixture
+    def files(self, pauli_triple_075, tmp_path, capsys):
+        _, out, _ = run_cli(capsys, "gallery", "pauli-eigenstates")
+        table = {"kind": "full", "shape": [2, 2], "data": [0.5, 0.5, 0.5, -0.5]}
+        op = {"s": 0.0, "v": [0.5, 0.0, 0.0]}
+        return {
+            "a": pauli_triple_075,
+            "e": write_json(tmp_path / "e.json", json.loads(out)),
+            "c": write_json(tmp_path / "c.json", table),
+            "b": write_json(tmp_path / "b.json", op),
+        }
+
+    def parameters(self, capsys, *argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 1)
+        return json.loads(out)["parameters"]
+
+    def test_jm_check(self, files, capsys):
+        got = self.parameters(
+            capsys, "jm-check", "--assemblage", files["a"], "--max-iter", "300", "--tol", "1e-8"
+        )
+        assert got == {"assemblage": files["a"], "max_iter": 300, "tol": 1e-8}
+
+    def test_pm_membership(self, files, capsys):
+        got = self.parameters(
+            capsys, "pm-membership", "--ensemble", files["e"], "--assemblage", files["a"],
+            "--dim", "2", "--eps-out", "1e-6",
+        )
+        assert got == {
+            "ensemble": files["e"],
+            "assemblage": files["a"],
+            "dim": 2,
+            "eps_in": 1e-7,
+            "eps_out": 1e-6,
+            "max_iter": 2000,
+        }
+
+    def test_bell_membership(self, files, capsys):
+        got = self.parameters(
+            capsys, "bell-membership", "--correlators", files["c"], "--max-iter", "50"
+        )
+        assert got == {"correlators": files["c"], "eps_in": 1e-7, "eps_out": 1e-7, "max_iter": 50}
+
+    def test_chsh_bound_attain(self, files, capsys):
+        got = self.parameters(
+            capsys, "chsh-bound", "--b0", files["b"], "--b1", files["b"], "--attain"
+        )
+        assert got == {"b0": files["b"], "b1": files["b"], "attain": True}
+
+    def test_equality_check(self, files, capsys):
+        got = self.parameters(
+            capsys, "equality-check", "--ensemble", files["e"], "--assemblage", files["a"]
+        )
+        assert got == {"ensemble": files["e"], "assemblage": files["a"]}
+
+    @pytest.mark.parametrize("with_ensemble", [False, True])
+    @pytest.mark.parametrize("timings", [False, True])
+    def test_certify(self, files, capsys, with_ensemble, timings):
+        argv = ["certify", "--assemblage", files["a"], "--dim", "2"]
+        argv += ["--seesaw", "1", "--seed", "5"]
+        if with_ensemble:
+            argv += ["--ensemble", files["e"]]
+        if timings:
+            argv.append("--timings")
+        got = self.parameters(capsys, *argv)
+        assert got == {
+            "assemblage": files["a"],
+            "ensemble": files["e"] if with_ensemble else None,
+            "dim": 2,
+            "seesaw": 1,
+            "seed": 5,
+        }
+
+
+class TestMalformedStructure:
+    """A wrong JSON structure or a non-finite number is malformed input."""
+
+    def assert_malformed(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("incompat: error: ") and err.count("\n") == 1
+
+    def test_chsh_bound_null_vector(self, tmp_path, capsys):
+        op = write_json(tmp_path / "op.json", {"s": 1, "v": None})
+        self.assert_malformed(capsys, "chsh-bound", "--b0", op, "--b1", op)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[1, 2], [{"s": 0.5, "v": None}], [{"s": None, "v": [0, 0, 0.5]}]],
+        ids=["numbers", "null-v", "null-s"],
+    )
+    def test_jm_check_bad_operator_list(self, tmp_path, capsys, payload):
+        path = write_json(tmp_path / "a.json", payload)
+        self.assert_malformed(capsys, "jm-check", "--assemblage", path)
+
+    @pytest.fixture
+    def nan_files(self, tmp_path):
+        # json.dumps writes NaN, which json.load reads back as float("nan")
+        op = {"s": 0.5, "v": [math.nan, 0.0, 0.0]}
+        table = {"kind": "full", "shape": [2, 2], "data": [math.nan, 0.5, 0.5, -0.5]}
+        return {
+            "ops": write_json(tmp_path / "nan.json", [op]),
+            "op": write_json(tmp_path / "op.json", {"s": 0.0, "v": [math.nan, 0.0, 0.0]}),
+            "table": write_json(tmp_path / "c.json", table),
+        }
+
+    def test_jm_check_nan(self, nan_files, capsys):
+        self.assert_malformed(capsys, "jm-check", "--assemblage", nan_files["ops"])
+
+    def test_equality_check_nan(self, nan_files, pauli_triple_075, capsys):
+        self.assert_malformed(
+            capsys, "equality-check", "--ensemble", nan_files["ops"],
+            "--assemblage", pauli_triple_075,
+        )
+
+    def test_pm_membership_nan(self, nan_files, pauli_triple_075, capsys):
+        self.assert_malformed(
+            capsys, "pm-membership", "--ensemble", nan_files["ops"],
+            "--assemblage", pauli_triple_075, "--dim", "2",
+        )
+
+    def test_certify_nan(self, nan_files, capsys):
+        self.assert_malformed(capsys, "certify", "--assemblage", nan_files["ops"], "--dim", "2")
+
+    def test_bell_membership_nan(self, nan_files, capsys):
+        self.assert_malformed(capsys, "bell-membership", "--correlators", nan_files["table"])
+
+    def test_chsh_bound_nan(self, nan_files, capsys):
+        op = nan_files["op"]
+        self.assert_malformed(capsys, "chsh-bound", "--b0", op, "--b1", op)

@@ -193,3 +193,20 @@ class TestBellBehaviorOnePass:
             for x, ma in enumerate(alice):
                 for y, mb in enumerate(bob):
                     assert np.max(np.abs(table[x, y] - born_bell_phi_plus(ma, mb))) <= 1e-15
+
+
+class TestCorrelatorTableFormat:
+    @pytest.mark.parametrize(
+        "data",
+        [[1], {"kind": "full", "data": [1.0]}, {"kind": "full", "shape": [1, 1]},
+         {"kind": "full", "shape": [1, 1], "data": [None]},
+         {"kind": "full", "shape": ["1", 1], "data": [0.5]}, {"shape": [1, 1], "data": [0.5]}],
+    )
+    def test_malformed_table_raises_value_error(self, data):
+        with pytest.raises(ValueError, match="correlator table object"):
+            CorrelatorTable.from_json_dict(data)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_check_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            CorrelatorTable("full", [[0.5, bad]]).check()

@@ -333,3 +333,8 @@ class TestDecideArguments:
 
     def test_zero_budget_stays_legal(self):
         assert decide(pauli_set("xy", 0.5), max_iter=0).status == "undecided"
+
+    @pytest.mark.parametrize("kwargs", [{"max_iter": -2}, {"tol": 0.0}, {"tol": float("nan")}])
+    def test_feasibility_search_checks_its_own_arguments(self, kwargs):
+        with pytest.raises(ValueError, match="max_iter"):
+            jm_feasibility(pauli_set("xy", 0.5), **kwargs)

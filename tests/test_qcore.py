@@ -244,3 +244,31 @@ class TestNoisyProjective:
     def test_visibility_out_of_range_is_rejected(self, eta):
         with pytest.raises(ValueError, match="visibility"):
             DichotomicMeasurement.noisy_projective((0, 0, 1), eta)
+
+
+class TestJsonFormat:
+    @pytest.mark.parametrize(
+        "data",
+        [1, [0.5, [0, 0, 0.5]], {"s": 0.5}, {"s": None, "v": [0, 0, 0.5]},
+         {"s": 0.5, "v": None}, {"s": "0.5", "v": [0, 0, 0.5]}, {"s": 0.5, "v": [0, True, 0]},
+         {"s": 10**400, "v": [0, 0, 0]}],
+    )
+    def test_malformed_operator_raises_value_error(self, data):
+        with pytest.raises(ValueError, match="operator object"):
+            QubitOperator.from_json_dict(data)
+
+    @pytest.mark.parametrize("cls", [Ensemble, Assemblage])
+    def test_malformed_list_raises_value_error(self, cls):
+        with pytest.raises(ValueError, match="JSON array"):
+            cls.from_json_list({"s": 0.5, "v": [0, 0, 0]})
+        with pytest.raises(ValueError, match="operator object"):
+            cls.from_json_list([1, 2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_are_violations(self, bad):
+        e = Ensemble((QubitState(QubitOperator(0.5, (bad, 0, 0))),))
+        a = Assemblage((DichotomicMeasurement(QubitOperator(0.5, (0, 0, bad))),))
+        for obj, what in ((e, "state"), (a, "effect")):
+            issue = validate(obj)
+            assert issue is not None and issue.kind == "finite"
+            assert issue.message == f"{what} 0 has a non-finite coefficient"
