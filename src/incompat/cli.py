@@ -24,7 +24,7 @@ from .gallery import pauli_eigenstate_ensemble, pauli_set, planar_set, snub_cube
 from .jm import decide
 from .pmbell import certify_incompatibility, check_correlator_equality, seesaw_ensemble_search
 from .polytope import BellPolytope, PMPolytope, fw_membership
-from .qcore import Assemblage, Ensemble, QubitOperator, validate
+from .qcore import ATOL_VALID, Assemblage, Ensemble, QubitOperator, validate
 
 
 def _load(path: str, decode):
@@ -116,7 +116,7 @@ def _cmd_chsh_bound(args: argparse.Namespace) -> int:
     bound = chsh_norm_bound(b0, b1)
     payload: dict = {
         "bound": bound,
-        "bell_jm_certified": bound <= 2.0 + 1e-10,
+        "bell_jm_certified": bound <= 2.0 + ATOL_VALID,
     }
     if args.attain:
         a0, a1, value = optimal_alice_settings(b0, b1)

@@ -21,10 +21,23 @@ from .qcore import (
     PHI_PLUS_VEC,
     QubitOperator,
     born_pm,
-    is_json_number,
+    is_json_numbers,
     trace_product,
     transpose,
 )
+
+
+def _table_from_json(cls, data: dict, name: str):
+    """cls(kind, array) from {"kind", "shape": [sizes], "data": [numbers]}; else ValueError."""
+    if not (
+        isinstance(data, dict)
+        and "kind" in data
+        and isinstance(data.get("shape"), list)
+        and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in data["shape"])
+        and is_json_numbers(data.get("data"))
+    ):
+        raise ValueError(f"expected a {name} object")
+    return cls(data["kind"], np.asarray(data["data"], dtype=float).reshape(data["shape"]))
 
 
 @dataclass(frozen=True)
@@ -73,8 +86,8 @@ class BehaviorTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BehaviorTable":
-        arr = np.asarray(data["data"], dtype=float).reshape(data["shape"])
-        return cls(data["kind"], arr)
+        """Decode ``{"kind", "shape": [sizes], "data": [numbers]}``; else ValueError."""
+        return _table_from_json(cls, data, "behaviour table")
 
 
 @dataclass(frozen=True)
@@ -112,17 +125,7 @@ class CorrelatorTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelatorTable":
         """Decode ``{"kind", "shape": [rows, cols], "data": [numbers]}``; else ValueError."""
-        if not (
-            isinstance(data, dict)
-            and "kind" in data
-            and isinstance(data.get("shape"), list)
-            and all(isinstance(n, int) and not isinstance(n, bool) for n in data["shape"])
-            and isinstance(data.get("data"), list)
-            and all(map(is_json_number, data["data"]))
-        ):
-            raise ValueError("expected a correlator table object")
-        arr = np.asarray(data["data"], dtype=float).reshape(data["shape"])
-        return cls(data["kind"], arr)
+        return _table_from_json(cls, data, "correlator table")
 
 
 def pm_behavior(e: Ensemble, a: Assemblage) -> BehaviorTable:

@@ -12,13 +12,16 @@ decide() tries them in this order:
 The feasibility search parametrises the mother by one effect per deterministic
 response function lambda: y -> b (2^N outcomes for N measurements).  In Bloch
 coordinates the constraint set is the intersection of a product of ice-cream
-cones (positivity of each effect) with an affine subspace (completeness plus
-the marginalisation identities), so Dykstra's alternating projections apply
-with closed-form projections on both sides.  When the two sets do not meet,
-Dykstra's displacement converges to the gap vector between them (Bauschke and
-Borwein, J. Approx. Theory 79, 1994), which is a Farkas certificate of
-incompatibility.  The search returns a verified mother POVM, a witness
-re-verified in exact rational arithmetic, or Undecided.
+cones (positivity of each effect) with the affine subspace incidence @ E =
+targets (completeness plus the marginalisation identities), so Dykstra's
+alternating projections apply with closed-form projections on both sides.
+One response table gives incidence and targets; they also drive the parent
+check (MotherPOVM.is_valid_for, on the parent's own table) and the exact
+witness check.  When the two sets do not meet, Dykstra's displacement
+converges to the gap vector between them (Bauschke and Borwein, J. Approx.
+Theory 79, 1994), which is a Farkas certificate of incompatibility.  The
+search returns a verified mother POVM, a witness re-verified in exact
+rational arithmetic, or Undecided.
 """
 
 from __future__ import annotations
@@ -34,10 +37,24 @@ from .qcore import (
     Assemblage,
     DichotomicMeasurement,
     QubitOperator,
+    is_json_number,
+    is_json_numbers,
     operator_norm,
 )
 
 MAX_SETTINGS = 10  # 2^10 mother outcomes; beyond this the parent blows up
+
+
+def _incidence(responses) -> np.ndarray:
+    """(N+1) x K 0/1 matrix: row 0 all ones (completeness), row y+1 marks k(y) = 0."""
+    table = np.asarray(responses)
+    # C order keeps the rounding of Dykstra's products, and so its reports, unchanged
+    return np.ascontiguousarray(np.vstack((np.ones(len(table)), table.T == 0)))
+
+
+def _targets(a) -> np.ndarray:
+    """(N+1) x 4 right-hand side: the identity (1, 0, 0, 0), then each (s, v) of effect0."""
+    return np.array([(1.0, 0.0, 0.0, 0.0), *((m.effect0.s, *m.effect0.v) for m in a)])
 
 
 @dataclass(frozen=True)
@@ -53,51 +70,49 @@ class MotherPOVM:
     responses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.effects) != len(self.responses):
-            raise ValueError("one response row is required per effect")
+        rows = self.responses
+        if not (
+            rows
+            and len(rows) == len(self.effects)
+            and len({len(row) for row in rows}) == 1
+            and len(rows[0]) > 0
+            and {b for row in rows for b in row} <= {0, 1}
+        ):
+            raise ValueError("need one response row of 0s and 1s per effect, all one length")
 
     @property
     def n_outcomes(self) -> int:
         return len(self.effects)
 
-    @property
-    def n_settings(self) -> int:
-        return len(self.responses[0]) if self.responses else 0
+    def _rows(self) -> np.ndarray:
+        return np.array([(e.s, *e.v) for e in self.effects])
+
+    def _residual(self, a: Assemblage) -> np.ndarray:
+        """|incidence @ E - targets| over completeness and the first len(a) settings."""
+        incidence = _incidence(self.responses)[: len(a) + 1]
+        return np.abs(incidence @ self._rows() - _targets(a))
 
     def marginal(self, y: int, b: int) -> QubitOperator:
         """Sum of parent effects mapped to outcome b of measurement y."""
-        total = QubitOperator.zero()
-        for effect, resp in zip(self.effects, self.responses):
-            if resp[y] == b:
-                total = total + effect
-        return total
+        total = self._rows()[np.asarray(self.responses)[:, y] == b].sum(axis=0)
+        return QubitOperator(total[0], total[1:])
 
     def completeness_error(self) -> float:
-        total = QubitOperator.zero()
-        for effect in self.effects:
-            total = total + effect
-        return max(abs(total.s - 1.0), float(np.max(np.abs(total.v))))
+        return float(np.max(self._residual(Assemblage(()))))
 
     def min_eigenvalue(self) -> float:
         return min(e.s - e.vnorm for e in self.effects)
 
     def reconstruction_error(self, a: Assemblage) -> float:
         """Largest Bloch-coordinate deviation between marginals and targets."""
-        worst = 0.0
-        for y, m in enumerate(a):
-            marg = self.marginal(y, 0)
-            worst = max(
-                worst,
-                abs(marg.s - m.effect0.s),
-                float(np.max(np.abs(marg.v - m.effect0.v))),
-            )
-        return worst
+        return float(np.max(self._residual(a)[1:], initial=0.0))
 
     def is_valid_for(self, a: Assemblage, tol: float) -> bool:
+        """Positive, complete and marginalising onto a; False for another setting count."""
         return (
-            self.min_eigenvalue() >= -tol
-            and self.completeness_error() <= tol
-            and self.reconstruction_error(a) <= tol
+            len(a) == len(self.responses[0])
+            and self.min_eigenvalue() >= -tol
+            and float(np.max(self._residual(a))) <= tol
         )
 
     def to_json_dict(self) -> dict:
@@ -108,9 +123,17 @@ class MotherPOVM:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MotherPOVM":
+        """Decode ``{"effects": [operators], "responses": [[0 or 1, ..]]}``; else ValueError."""
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("effects"), list)
+            and isinstance(data.get("responses"), list)
+            and all(map(is_json_numbers, data["responses"]))
+        ):
+            raise ValueError('expected a parent object {"effects": [..], "responses": [[..]]}')
         return cls(
             tuple(QubitOperator.from_json_dict(e) for e in data["effects"]),
-            tuple(tuple(int(b) for b in row) for row in data["responses"]),
+            tuple(tuple(row) for row in data["responses"]),
         )
 
 
@@ -131,9 +154,7 @@ def _exact_witness_check(
     every comparison an integer one.
     """
     coeffs = [c for op in ops for c in (op.s, *op.v)]
-    t_coeffs = [1.0, 0.0, 0.0, 0.0]
-    for m in a:
-        t_coeffs += [m.effect0.s, *m.effect0.v]
+    t_coeffs = _targets(a).ravel().tolist()
     if len(ops) != len(a) + 1 or not all(map(math.isfinite, coeffs + t_coeffs)):
         return False, math.nan
     w, w_den = _dyadic(coeffs)
@@ -177,8 +198,15 @@ class JMWitness:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JMWitness":
+        """Decode ``{"z": operator, "f": [operators], "value": number}``; else ValueError."""
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("f"), list)
+            and is_json_number(data.get("value"))
+        ):
+            raise ValueError('expected a witness object {"z": .., "f": [..], "value": ..}')
         return cls(
-            QubitOperator.from_json_dict(data["z"]),
+            QubitOperator.from_json_dict(data.get("z")),
             tuple(QubitOperator.from_json_dict(op) for op in data["f"]),
             float(data["value"]),
         )
@@ -211,13 +239,10 @@ class JMVerdict:
 
     def to_json_dict(self) -> dict:
         out: dict = {"verdict": self.status}
-        if self.mother is not None:
-            out["mother"] = self.mother.to_json_dict()
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json_dict()
-        for key in ("reason", "residual", "iterations", "pair", "margin", "visibility"):
+        for key in ("mother", "witness", "reason", "residual", "iterations", "pair",
+                    "margin", "visibility"):
             if (value := getattr(self, key)) is not None:
-                out[key] = value
+                out[key] = value.to_json_dict() if key in ("mother", "witness") else value
         return out
 
 
@@ -252,13 +277,12 @@ def mother_povm_xz(eta: float) -> MotherPOVM:
         raise ValueError(
             f"eta = {eta} leaves the parent non-positive; need 0 <= eta <= 1/sqrt(2)"
         )
-    effects = []
-    responses = []
-    for i in (1.0, -1.0):
-        for j in (1.0, -1.0):
-            effects.append(QubitOperator(0.25, (0.25 * eta * i, 0.0, 0.25 * eta * j)))
-            responses.append((0 if i > 0 else 1, 0 if j > 0 else 1))
-    return MotherPOVM(tuple(effects), tuple(responses))
+    responses = tuple(itertools.product((0, 1), repeat=2))
+    effects = tuple(
+        QubitOperator(0.25, (0.25 * eta * (1 - 2 * i), 0.0, 0.25 * eta * (1 - 2 * j)))
+        for i, j in responses
+    )
+    return MotherPOVM(effects, responses)
 
 
 def noisy_pauli_triple_jm(eta: float) -> bool:
@@ -337,10 +361,6 @@ def _cone_violation(rows: np.ndarray) -> float:
     return float(np.max(np.maximum(r - s, 0.0)))
 
 
-def _response_table(n_settings: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.product((0, 1), repeat=n_settings))
-
-
 def _gap_witness(
     r: np.ndarray, incidence: np.ndarray, a: Assemblage
 ) -> JMWitness | None:
@@ -375,31 +395,13 @@ def jm_feasibility(
     A negative max_iter or a tolerance that is not positive raises.
     """
     _check_budget(max_iter, tol)
-    n = len(a)
-    if n == 0:
-        raise ValueError("assemblage is empty")
-    if n > MAX_SETTINGS:
-        raise ValueError(
-            f"{n} measurements give 2^{n} mother outcomes; limit is {MAX_SETTINGS}"
-        )
-    responses = _response_table(n)
-    n_out = len(responses)
-
-    # Affine constraints act identically on each Bloch coordinate: row 0 is
-    # completeness, row y+1 collects the outcome-0 class of measurement y.
-    incidence = np.zeros((n + 1, n_out))
-    incidence[0, :] = 1.0
-    for k, resp in enumerate(responses):
-        for y in range(n):
-            if resp[y] == 0:
-                incidence[y + 1, k] = 1.0
+    if not 0 < len(a) <= MAX_SETTINGS:
+        raise ValueError(f"need 1 to {MAX_SETTINGS} measurements, got {len(a)}")
+    responses = tuple(itertools.product((0, 1), repeat=len(a)))
+    # The affine constraints act identically on each Bloch coordinate.
+    incidence = _incidence(responses)
     pinv = np.linalg.pinv(incidence)
-
-    targets = np.zeros((n + 1, 4))
-    targets[0, 0] = 1.0
-    for y, m in enumerate(a):
-        targets[y + 1, 0] = m.effect0.s
-        targets[y + 1, 1:] = m.effect0.v
+    targets = _targets(a)
 
     x = pinv @ targets
     correction = np.zeros_like(x)
@@ -433,8 +435,7 @@ def jm_feasibility(
 
     # Final cleanup: make positivity exact; affine constraints then hold to
     # within the residual, which the validity check re-verifies.
-    rows = _cone_project(x)
-    effects = tuple(QubitOperator(row[0], row[1:]) for row in rows)
+    effects = tuple(QubitOperator(row[0], row[1:]) for row in _cone_project(x))
     mother = MotherPOVM(effects, responses)
     check_tol = max(10.0 * tol, 1e-8)
     if not mother.is_valid_for(a, check_tol):

@@ -27,6 +27,8 @@ import numpy as np
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
 DEFAULT_VERTEX_BUDGET = 10_000
+_ONE_HOT = np.eye(2)  # row b one-hot encodes the response bit b
+_ONE_HOT.setflags(write=False)
 
 
 class EnumerationBudgetError(ValueError):
@@ -42,7 +44,7 @@ class PMStrategy:
 
     def vector(self) -> np.ndarray:
         """Behaviour array v[x, y, b] = 1 when g[f[x]][y] == b."""
-        return np.eye(2)[np.asarray(self.g)[list(self.f)]]
+        return _ONE_HOT[np.asarray(self.g)[list(self.f)]]
 
     def to_json_dict(self) -> dict:
         return {"f": list(self.f), "g": [list(row) for row in self.g]}

@@ -36,6 +36,11 @@ def is_json_number(x) -> bool:
     )
 
 
+def is_json_numbers(x, length: int | None = None) -> bool:
+    """True for a JSON array of numbers, of the given length when one is given."""
+    return isinstance(x, list) and length in (None, len(x)) and all(map(is_json_number, x))
+
+
 def _as_vec3(v: Iterable[float]) -> np.ndarray:
     arr = np.asarray(tuple(v), dtype=float)
     if arr.shape != (3,):
@@ -108,8 +113,7 @@ class QubitOperator:
         if not (
             isinstance(data, dict)
             and is_json_number(data.get("s"))
-            and isinstance(data.get("v"), list)
-            and all(map(is_json_number, data["v"]))
+            and is_json_numbers(data.get("v"))
         ):
             raise ValueError('expected an operator object {"s": .., "v": [..]}')
         return cls(data["s"], data["v"])
@@ -292,11 +296,13 @@ class TwoQubitOperator:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TwoQubitOperator":
-        rows = data["matrix"]
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-        )
-        return cls(mat)
+        """Decode ``{"matrix": 4 rows of 4 [re, im] pairs}``; else ValueError."""
+        rows = data.get("matrix") if isinstance(data, dict) else None
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(is_json_numbers(z, 2) for z in row) for row in rows
+        ):
+            raise ValueError('expected {"matrix": rows of [re, im] pairs}')
+        return cls(np.array([[complex(re, im) for re, im in row] for row in rows]))
 
 
 PHI_PLUS_VEC = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -432,19 +438,11 @@ def _validate_measurement(m: DichotomicMeasurement, idx: int) -> Violation | Non
 def validate(obj: Union[Ensemble, Assemblage]) -> Violation | None:
     """Check all type invariants within 1e-10; return the first violation or None."""
     if isinstance(obj, Ensemble):
-        if len(obj) == 0:
-            return Violation(-1, "empty", "ensemble has no states")
-        for idx, rho in enumerate(obj):
-            issue = _validate_state(rho, idx)
-            if issue is not None:
-                return issue
-        return None
-    if isinstance(obj, Assemblage):
-        if len(obj) == 0:
-            return Violation(-1, "empty", "assemblage has no measurements")
-        for idx, m in enumerate(obj):
-            issue = _validate_measurement(m, idx)
-            if issue is not None:
-                return issue
-        return None
-    raise TypeError(f"validate expects Ensemble or Assemblage, got {type(obj)!r}")
+        check, empty = _validate_state, "ensemble has no states"
+    elif isinstance(obj, Assemblage):
+        check, empty = _validate_measurement, "assemblage has no measurements"
+    else:
+        raise TypeError(f"validate expects Ensemble or Assemblage, got {type(obj)!r}")
+    if len(obj) == 0:
+        return Violation(-1, "empty", empty)
+    return next(filter(None, (check(x, idx) for idx, x in enumerate(obj))), None)

@@ -453,3 +453,29 @@ class TestMalformedStructure:
     def test_chsh_bound_nan(self, nan_files, capsys):
         op = nan_files["op"]
         self.assert_malformed(capsys, "chsh-bound", "--b0", op, "--b1", op)
+
+
+class TestInvalidContent:
+    """Well-formed JSON that breaks a physical invariant exits 2 with its reason."""
+
+    def test_bell_membership_rejects_a_single_correlator_table(self, tmp_path, capsys):
+        table = {"kind": "single", "shape": [2, 2], "data": [0.5, 0.5, 0.5, -0.5]}
+        path = write_json(tmp_path / "c.json", table)
+        code, out, err = run_cli(capsys, "bell-membership", "--correlators", path)
+        assert code == 2 and out == "" and "full correlator table" in err
+
+    @pytest.mark.parametrize("s", [0.4, 0.6])
+    def test_state_with_trace_other_than_one(self, pauli_triple_075, tmp_path, capsys, s):
+        path = write_json(tmp_path / "e.json", [{"s": s, "v": [0.0, 0.0, 0.1]}])
+        code, out, err = run_cli(
+            capsys, "pm-membership", "--ensemble", path,
+            "--assemblage", pauli_triple_075, "--dim", "2",
+        )
+        assert code == 2 and out == "" and "state 0 has trace" in err
+
+    @pytest.mark.parametrize("s", [-0.25, 1.5])
+    def test_effect_with_s_outside_the_unit_interval(self, tmp_path, capsys, s):
+        ops = [{"s": 0.5, "v": [0.1, 0.0, 0.0]}, {"s": s, "v": [0.0, 0.0, 0.0]}]
+        path = write_json(tmp_path / "a.json", ops)
+        code, out, err = run_cli(capsys, "jm-check", "--assemblage", path)
+        assert code == 2 and out == "" and "effect 1 has s" in err and "outside [0, 1]" in err

@@ -210,3 +210,14 @@ class TestCorrelatorTableFormat:
     def test_check_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             CorrelatorTable("full", [[0.5, bad]]).check()
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"kind": "pm", "shape": [1, 1, 2], "data": [None, 0.5]},
+         {"kind": "pm", "shape": [1, 1, 2], "data": ["0.5", 0.5]},
+         {"kind": "pm", "shape": [-1, 1, 2], "data": [0.5, 0.5]},
+         {"kind": "pm", "data": [0.5, 0.5]}, None],
+    )
+    def test_malformed_behaviour_table_raises_value_error(self, data):
+        with pytest.raises(ValueError, match="behaviour table object"):
+            BehaviorTable.from_json_dict(data)

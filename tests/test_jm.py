@@ -11,6 +11,8 @@ from incompat.gallery import pauli_set
 from incompat.jm import (
     JMWitness,
     MotherPOVM,
+    _incidence,
+    _targets,
     busch_pair_criterion,
     decide,
     jm_feasibility,
@@ -338,3 +340,76 @@ class TestDecideArguments:
     def test_feasibility_search_checks_its_own_arguments(self, kwargs):
         with pytest.raises(ValueError, match="max_iter"):
             jm_feasibility(pauli_set("xy", 0.5), **kwargs)
+
+    def test_feasibility_search_rejects_an_empty_assemblage(self):
+        with pytest.raises(ValueError, match="need 1 to 10 measurements"):
+            jm_feasibility(Assemblage(()))
+
+
+class TestMotherPovmChecks:
+    """The parent's own response table drives every check of a mother POVM."""
+
+    def test_incidence_and_targets_define_the_affine_constraints(self):
+        responses = tuple(itertools.product((0, 1), repeat=3))
+        incidence = _incidence(responses)
+        assert incidence.flags.c_contiguous and incidence.dtype == float
+        assert incidence[0].tolist() == [1.0] * 8
+        for k, resp in enumerate(responses):
+            assert incidence[1:, k].tolist() == [float(b == 0) for b in resp]
+        a = pauli_set("xyz", 0.5)
+        expected = [[1.0, 0.0, 0.0, 0.0]] + [[m.effect0.s, *m.effect0.v] for m in a]
+        assert _targets(a).tolist() == expected
+
+    def test_checks_match_a_direct_sum_over_response_classes(self):
+        a = pauli_set("xyz", 0.5)
+        mother = jm_feasibility(a).mother
+        for y, m in enumerate(a):
+            for b, target in ((0, m.effect0), (1, m.effect1)):
+                total = QubitOperator.zero()
+                for effect, resp in zip(mother.effects, mother.responses):
+                    if resp[y] == b:
+                        total = total + effect
+                assert mother.marginal(y, b).isclose(total, atol=1e-15)
+                assert mother.marginal(y, b).isclose(target, atol=1e-8)
+        assert mother.completeness_error() < 1e-8
+        assert mother.is_valid_for(a, 1e-8)
+
+    @pytest.mark.parametrize("axes", ["x", "xyz"])
+    def test_another_setting_count_is_invalid_without_raising(self, axes):
+        mother = mother_povm_xz(0.5)
+        assert mother.is_valid_for(noisy_pair(0.5), 1e-12)
+        assert mother.is_valid_for(pauli_set(axes, 0.5), 1e-12) is False
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"effects": None, "responses": []},
+            {"responses": [[0]]},
+            [],
+            {"effects": [{"s": 1.0, "v": [0, 0, 0]}], "responses": [["0"]]},
+            {"effects": [{"s": 1.0, "v": [0, 0, 0]}], "responses": [[0.7]]},
+            {"effects": [{"s": 1.0, "v": [0, 0, 0]}], "responses": [[2]]},
+            {"effects": [{"s": 1.0, "v": [0, 0, 0]}], "responses": [[True]]},
+            {"effects": [{"s": 1.0, "v": [0, 0, 0]}], "responses": [0]},
+            {"effects": [{"s": 1.0, "v": [0, 0, 0]}], "responses": [[]]},
+            {"effects": [{"s": 1.0, "v": [0, 0, 0]}], "responses": [[0], [1]]},
+            {"effects": [{"s": 0.5, "v": [0, 0, 0]}] * 2, "responses": [[0], [0, 1]]},
+        ],
+    )
+    def test_malformed_parent_raises_value_error(self, data):
+        with pytest.raises(ValueError):
+            MotherPOVM.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"z": {"s": 1.0, "v": [0, 0, 0]}, "f": [], "value": "nan"},
+            {"z": {"s": 1.0, "v": [0, 0, 0]}, "f": [], "value": None},
+            {"z": {"s": 1.0, "v": [0, 0, 0]}, "f": None, "value": -1.0},
+            {"f": [], "value": -1.0},
+            None,
+        ],
+    )
+    def test_malformed_witness_raises_value_error(self, data):
+        with pytest.raises(ValueError):
+            JMWitness.from_json_dict(data)

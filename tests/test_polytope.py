@@ -391,6 +391,31 @@ class TestFWMembership:
         assert verdict.iterations == 0 and verdict.status in ("outside", "undecided")
         assert poly.calls == (3 if verdict.is_outside else 2)
 
+    def test_an_oracle_that_repeats_a_vertex_stops_the_run(self):
+        class Repeating(BellPolytope):
+            """Always answers with its first vertex, at an inflated value."""
+
+            first = None
+
+            def lmo(self, M):
+                strategy, value = super().lmo(M)
+                self.first = self.first or strategy
+                return self.first, value + 1.0
+
+        verdict = fw_membership(TSIRELSON, Repeating(2, 2))
+        assert (verdict.status, verdict.termination) == ("undecided", "repeated_vertex")
+        assert verdict.iterations == 1
+
+
+class TestPMStrategyVector:
+    def test_one_hot_rows_of_the_response_table(self):
+        strategy = PMStrategy((1, 0, 1), ((0, 1), (1, 1)))
+        vector = strategy.vector()
+        expected = [[[0.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]]]
+        assert vector.dtype == float and vector.tolist() == expected
+        vector[:] = 7.0
+        assert strategy.vector().tolist() == expected
+
 
 class Counting(BellPolytope):
     """Bell oracle that counts its calls."""

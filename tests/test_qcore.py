@@ -272,3 +272,12 @@ class TestJsonFormat:
             issue = validate(obj)
             assert issue is not None and issue.kind == "finite"
             assert issue.message == f"{what} 0 has a non-finite coefficient"
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"matrix": [[1]]}, {"matrix": None}, {}, [], {"matrix": [[[1, 0, 0]]]},
+         {"matrix": [[[1, None]]]}, {"matrix": [[[0, 0]] * 4] * 3}],
+    )
+    def test_malformed_two_qubit_operator_raises_value_error(self, data):
+        with pytest.raises(ValueError):
+            TwoQubitOperator.from_json_dict(data)
