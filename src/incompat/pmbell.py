@@ -185,10 +185,6 @@ class CertificationReport:
     notes: tuple[str, ...] = ()
     wall_clock: float | None = None
 
-    @property
-    def certified_incompatible(self) -> bool:
-        return self.bell is not None
-
     def to_json_dict(self, include_timings: bool = False) -> dict:
         out: dict = {
             "d": self.d,

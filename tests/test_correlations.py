@@ -21,6 +21,7 @@ from incompat.qcore import (
     QubitOperator,
     QubitState,
     born_bell_phi_plus,
+    born_pm,
     max_entangled_2,
     trace_product,
 )
@@ -193,6 +194,29 @@ class TestBellBehaviorOnePass:
             for x, ma in enumerate(alice):
                 for y, mb in enumerate(bob):
                     assert np.max(np.abs(table[x, y] - born_bell_phi_plus(ma, mb))) <= 1e-15
+
+
+class TestPMBehaviorOnePass:
+    def test_matches_the_per_pair_born_rule_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        for k in range(1000):
+            n_x, n_y = int(rng.integers(0, 17)), int(rng.integers(0, 9))
+            e = Ensemble(tuple(random_state(rng) for _ in range(n_x)))
+            # biased effects in every third assemblage
+            a = Assemblage(
+                tuple(
+                    random_unbiased(rng)
+                    if k % 3
+                    else DichotomicMeasurement(QubitOperator(s, min(s, 1 - s) * random_state(rng).op.v))
+                    for s in rng.uniform(0.1, 0.9, size=n_y)
+                )
+            )
+            loop = np.empty((n_x, n_y, 2))
+            for x, rho in enumerate(e):
+                for y, m in enumerate(a):
+                    loop[x, y, :] = born_pm(rho, m)
+            table = pm_behavior(e, a).data
+            assert table.shape == loop.shape and table.tobytes() == loop.tobytes()
 
 
 class TestCorrelatorTableFormat:

@@ -10,7 +10,7 @@ from scipy.optimize import nnls
 
 from incompat import polytope
 from incompat.correlations import pm_behavior
-from incompat.gallery import pauli_eigenstate_ensemble, pauli_set
+from incompat.gallery import pauli_eigenstate_ensemble, pauli_set, snub_cube_set
 from incompat.polytope import (
     BellPolytope,
     EnumerationBudgetError,
@@ -24,6 +24,7 @@ from incompat.polytope import (
     fw_membership,
     pm_lmo,
 )
+from incompat.qcore import Assemblage, Ensemble, QubitState
 
 TSIRELSON = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
@@ -416,6 +417,17 @@ class TestPMStrategyVector:
         vector[:] = 7.0
         assert strategy.vector().tolist() == expected
 
+    @pytest.mark.parametrize(
+        "strategy", [PMStrategy((1, 0, 1), ((0, 1), (1, 1))), SignAssignment((1, -1), (-1, 1, 1))]
+    )
+    def test_row_is_built_once_and_read_only(self, strategy):
+        row = strategy.row
+        assert row is strategy.row and not row.flags.writeable
+        assert row.tolist() == strategy.vector().ravel().tolist()
+        fresh = strategy.vector()
+        fresh[...] = 7.0
+        assert strategy.row.tolist() == row.tolist() != fresh.ravel().tolist()
+
 
 class Counting(BellPolytope):
     """Bell oracle that counts its calls."""
@@ -530,29 +542,54 @@ class TestBruteForce:
         assert brute_force_membership(np.full(4, 2.0), verts).termination is None
 
 
+def _tiny_pm_scenario(rng):
+    """A two-message scenario with 2-3 states and 1-2 settings, and its vertex list."""
+    n_x = int(rng.integers(2, 4))
+    n_y = int(rng.integers(1, 3))
+    verts = np.array([s.vector().ravel() for s in enumerate_pm_strategies(2, n_x, n_y)])
+    return PMPolytope(2, n_x, n_y), verts
+
+
+def _tiny_pm_point(rng, poly, verts):
+    """Half the time a mixture of four vertices, otherwise a random behaviour."""
+    if rng.uniform() < 0.5:
+        idx = rng.choice(len(verts), size=4)
+        return rng.dirichlet(np.ones(4)) @ verts[idx]
+    raw = rng.uniform(size=poly.point_shape)
+    raw /= raw.sum(axis=2, keepdims=True)
+    return raw.ravel()
+
+
 class TestAgreement:
     def test_fw_matches_brute_force_on_tiny_instances(self):
         rng = np.random.default_rng(27)
         agreements = 0
         for _ in range(100):
-            d = 2
-            n_x = int(rng.integers(2, 4))
-            n_y = int(rng.integers(1, 3))
-            verts = np.array(
-                [s.vector().ravel() for s in enumerate_pm_strategies(d, n_x, n_y)]
-            )
-            if rng.uniform() < 0.5:
-                idx = rng.choice(len(verts), size=4)
-                point = rng.dirichlet(np.ones(4)) @ verts[idx]
-            else:
-                raw = rng.uniform(size=(n_x, n_y, 2))
-                raw /= raw.sum(axis=2, keepdims=True)
-                point = raw.ravel()
-            fw = fw_membership(point, PMPolytope(d, n_x, n_y))
+            poly, verts = _tiny_pm_scenario(rng)
+            point = _tiny_pm_point(rng, poly, verts)
+            fw = fw_membership(point, poly)
             if fw.status == "undecided":
                 continue  # tolerance band: both may defensibly differ here
             bf = brute_force_membership(point, verts)
             assert fw.status == bf.status
+            agreements += 1
+        assert agreements >= 90
+
+    def test_warm_started_fw_matches_brute_force(self):
+        # each run starts from the corral of a run on another point
+        rng = np.random.default_rng(29)
+        agreements = 0
+        for _ in range(100):
+            poly, verts = _tiny_pm_scenario(rng)
+            start = fw_membership(_tiny_pm_point(rng, poly, verts), poly).active
+            point = _tiny_pm_point(rng, poly, verts)
+            fw = fw_membership(point, poly, start=start)
+            if fw.status == "undecided":
+                continue
+            assert fw.status == brute_force_membership(point, verts).status
+            if fw.is_inside:
+                rebuilt = fw.weights @ np.array([poly.vertex(s) for s in fw.strategies])
+                assert np.linalg.norm(rebuilt - point) < 1e-9
             agreements += 1
         assert agreements >= 90
 
@@ -659,22 +696,95 @@ class TestBarycentricStart:
 
     @pytest.mark.parametrize("poly, corral", SQUARE_FACES)
     def test_square_face_corral_takes_the_null_step(self, poly, corral, monkeypatch):
-        singular = []
-        solve = polytope._affine_weights
+        dependent = []
+        border = polytope._Corral.border
 
-        def affine_weights(rows, p):
-            try:
-                return solve(rows, p)
-            except np.linalg.LinAlgError:
-                singular.append(len(rows))
-                raise
+        def recording_border(self, i):
+            q = border(self, i)
+            if q is not None:
+                dependent.append(len(self.support) + 1)
+            return q
 
-        monkeypatch.setattr(polytope, "_affine_weights", affine_weights)
+        monkeypatch.setattr(polytope._Corral, "border", recording_border)
         rows = np.array([poly.vertex(s) for s in corral])
         point = np.array([0.0, 0.25, 0.5, 0.25]) @ rows
         verdict = fw_membership(point, poly, start=corral)
-        assert singular and singular[0] == 4  # the whole start was dependent
+        assert dependent and dependent[0] == 4  # the whole start was dependent
         assert verdict.is_inside and verdict.reconstruction_error < 1e-12
+
+
+@pytest.fixture
+def fresh_solve_check(monkeypatch):
+    """Check every affine step of every corral against a fresh solve on its support.
+
+    The corral updates its factor as rows enter and leave; _affine_weights
+    forms and solves the same support's system from scratch.  Their weights
+    must agree to 1e-12, widened by the fresh solve's own forward error
+    bound cond(A_S) eps max|u| where A_S is ill-conditioned.  Returns the
+    list of support sizes checked.
+    """
+    affine = polytope._Corral.affine
+    checked = []
+
+    def affine_checked(corral):
+        u = affine(corral)
+        rows = corral.V[corral.support]
+        fresh = polytope._affine_weights(rows, corral.p)
+        R = rows - corral.p
+        slack = np.linalg.cond(R @ R.T + 1.0) * np.finfo(float).eps * np.max(np.abs(u))
+        assert np.max(np.abs(u - fresh)) <= 1e-12 + slack
+        checked.append(len(u))
+        return u
+
+    monkeypatch.setattr(polytope._Corral, "affine", affine_checked)
+    return checked
+
+
+class TestPersistentCorral:
+    """The updated corral against a fresh factorisation of its support."""
+
+    def test_cold_and_warm_runs(self, fresh_solve_check):
+        rng = np.random.default_rng(30)
+        poly = PMPolytope(2, 6, 3)
+        for _ in range(6):
+            e = Ensemble(tuple(QubitState.pure(v) for v in rng.normal(size=(6, 3))))
+            point = pm_behavior(e, pauli_set("xyz", rng.uniform(0.6, 1.0))).data
+            cold = fw_membership(point, poly)
+            moved = point + rng.normal(scale=0.02, size=point.shape)
+            warm = fw_membership(moved, poly, start=cold.active)
+            assert warm.status == fw_membership(moved, poly).status
+        assert len(fresh_solve_check) > 100 and max(fresh_solve_check) > 10
+
+    def test_duplicated_start_row(self, fresh_solve_check):
+        rng = np.random.default_rng(31)
+        poly = PMPolytope(2, 3, 2)
+        strategies = list(enumerate_pm_strategies(2, 3, 2))
+        for _ in range(10):
+            picked = [strategies[i] for i in rng.choice(len(strategies), size=8, replace=False)]
+            point = rng.dirichlet(np.ones(5)) @ np.array([s.row for s in picked[3:]])
+            # the first row again, after two others: it enters by a null step
+            verdict = fw_membership(point, poly, start=picked[:3] + picked[:1])
+            assert verdict.is_inside and verdict.reconstruction_error < 1e-9
+        assert max(fresh_solve_check) >= 5
+
+    def test_square_face_null_step(self, fresh_solve_check):
+        # alpha = (1, 1) with all four beta spans a square face of the 2 x 2
+        # Bell polytope; the point needs vertices off that face as well
+        poly = BellPolytope(2, 2)
+        face = [SignAssignment((1, 1), b) for b in itertools.product((1, -1), repeat=2)]
+        off = [SignAssignment((1, -1), b) for b in itertools.product((1, -1), repeat=2)]
+        rows = np.array([s.row for s in face + off])
+        point = np.array([0.05, 0.1, 0.15, 0.2, 0.1, 0.1, 0.1, 0.2]) @ rows
+        verdict = fw_membership(point.reshape(2, 2), poly, start=face)
+        assert verdict.is_inside and verdict.reconstruction_error < 1e-12
+        assert max(fresh_solve_check) >= 4
+
+    def test_sixteen_setting_snub_point(self, fresh_solve_check):
+        e = pauli_eigenstate_ensemble()
+        a = Assemblage(snub_cube_set(1.0).measurements[:16])
+        verdict = fw_membership(pm_behavior(e, a).data, PMPolytope(3, 6, 16), max_iter=4000)
+        assert verdict.is_inside
+        assert len(fresh_solve_check) > 300 and max(fresh_solve_check) > 90
 
 
 class TestFWArguments:
