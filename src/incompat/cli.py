@@ -97,14 +97,10 @@ def _cmd_bell_membership(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     a = _load_list(args.assemblage, Assemblage)
     rng = np.random.default_rng(args.seed)
-    if args.ensemble is not None:
-        e = _load_list(args.ensemble, Ensemble)
-        if args.seesaw:
-            e, _ = seesaw_ensemble_search(
-                a, args.dim, args.seesaw, rng=rng, initial=e
-            )
-    else:
-        e, _ = seesaw_ensemble_search(a, args.dim, args.seesaw or 20, rng=rng)
+    e = None if args.ensemble is None else _load_list(args.ensemble, Ensemble)
+    rounds = args.seesaw if e is not None else (args.seesaw or 20)
+    if rounds:
+        e, _ = seesaw_ensemble_search(a, args.dim, rounds, rng=rng, initial=e)
     report = certify_incompatibility(a, e, args.dim)
     payload = report.to_json_dict(include_timings=args.timings)
     return _emit(args, payload, report.verdict.status)

@@ -85,16 +85,7 @@ def snub_cube_directions(mirror: bool = False) -> np.ndarray:
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     if mirror:
         dirs[:, 2] *= -1.0
-    # Deduplicate defensively and order deterministically.
-    dirs = dirs[np.lexsort((dirs[:, 2], dirs[:, 1], dirs[:, 0]))]
-    kept = [dirs[0]]
-    for d in dirs[1:]:
-        if np.linalg.norm(d - kept[-1]) > 1e-9:
-            kept.append(d)
-    out = np.array(kept)
-    if out.shape != (24, 3):
-        raise AssertionError(f"snub cube generation produced {out.shape[0]} vertices")
-    return out
+    return dirs[np.lexsort((dirs[:, 2], dirs[:, 1], dirs[:, 0]))]
 
 
 def snub_cube_set(eta: float, mirror: bool = False) -> Assemblage:

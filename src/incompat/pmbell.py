@@ -388,7 +388,7 @@ def seesaw_ensemble_search(
                 best_gap = gap
                 best_ensemble = current
             current = _climb(current, verdict.witness, a)
-            warm = verdict.active
+            warm = verdict.strategies
         else:
             warm = ()
             if restart_count % 2 == 0:

@@ -7,14 +7,17 @@ g: (a,y) -> b), and the Bell full-correlator polytope, whose vertices are the
 rank-one sign matrices alpha_x beta_y.
 
 Membership is decided by a fully corrective Frank-Wolfe loop driven by exact
-enumeration oracles.  The loop keeps one persistent corral: the vertices
-seen so far and an affinely independent active set whose convex weights
-Wolfe's minimum-norm-point algorithm reoptimises exactly.  The factor of the
-active set's affine system is updated as vertices enter and leave instead
-of being rebuilt, so an affine step costs O(s D + s^2).  An Inside verdict
-ships with a sparse convex decomposition and an Outside verdict with a
-separating witness whose classical bound comes from one final exact oracle
-call.  A dense phase-1 simplex over an explicit vertex list serves as an
+enumeration oracles, which share one budget: DEFAULT_ORACLE_BUDGET
+candidates per call, checked by _check_budget.  The loop keeps one
+persistent corral: the vertices seen so far and an affinely independent
+active set whose convex weights Wolfe's minimum-norm-point algorithm
+reoptimises exactly.  The factor of the active set's affine system is
+updated as vertices enter and leave instead of being rebuilt, so an affine
+step costs O(s D + s^2).  An Inside verdict ships with a sparse convex
+decomposition and an Outside verdict with a separating witness whose
+classical bound comes from one final exact oracle call; every verdict keeps
+its final active strategies, from which a run on a nearby point can start.
+A dense phase-1 simplex over an explicit vertex list serves as an
 independent test oracle for the same question.
 """
 
@@ -106,14 +109,15 @@ class Witness:
 class MembershipVerdict:
     """Inside with a convex decomposition, Outside with a witness, or Undecided.
 
-    Inside verdicts carry the active vertices (strategy objects where the
-    oracle produced them, otherwise raw vertex rows) and their weights;
-    Undecided verdicts carry two-sided bounds on the Euclidean distance from
-    the point to the polytope.  Kept out of the JSON report and None for
-    simplex verdicts: termination says why Frank-Wolfe stopped ("converged",
-    dual gap within tolerance, "repeated_vertex" or "iteration_cap"), and
-    active holds its final active strategies (weights above 1e-12) whatever
-    the status, to warm-start a run on a nearby point.
+    Inside verdicts carry their weights over the active vertices: strategy
+    objects from Frank-Wolfe, raw vertex rows from the simplex.  Undecided
+    verdicts carry two-sided bounds on the Euclidean distance from the point
+    to the polytope.  A Frank-Wolfe verdict holds its final active strategies
+    (weights above 1e-12) in strategies whatever the status, so a run on a
+    nearby point can start from them, but the JSON report lists vertices
+    only with weights.  Termination, kept out of the report and None for
+    simplex verdicts, says why Frank-Wolfe stopped ("converged", dual gap
+    within tolerance, "repeated_vertex" or "iteration_cap").
     """
 
     status: str
@@ -126,7 +130,6 @@ class MembershipVerdict:
     distance_upper: float | None = None
     iterations: int = 0
     termination: str | None = None
-    active: tuple | None = None
 
     @property
     def is_inside(self) -> bool:
@@ -138,11 +141,11 @@ class MembershipVerdict:
 
     def to_json_dict(self) -> dict:
         out: dict = {"verdict": self.status, "iterations": self.iterations}
-        if self.strategies is not None:
-            out["vertices"] = [s.to_json_dict() for s in self.strategies]
-        elif self.vertices is not None:
-            out["vertices"] = self.vertices.tolist()
         if self.weights is not None:
+            if self.strategies is not None:
+                out["vertices"] = [s.to_json_dict() for s in self.strategies]
+            elif self.vertices is not None:
+                out["vertices"] = self.vertices.tolist()
             out["weights"] = [float(w) for w in self.weights]
         if self.reconstruction_error is not None:
             out["reconstruction_error"] = self.reconstruction_error
@@ -179,8 +182,17 @@ def _lex_onehot(k: int, m: int) -> np.ndarray:
     return table
 
 
+def _check_budget(k: int, n: int, what: str) -> None:
+    """Raise EnumerationBudgetError when k^n objects exceed the oracle budget."""
+    total = k**n
+    if total > DEFAULT_ORACLE_BUDGET:
+        raise EnumerationBudgetError(
+            f"{k}^{n} = {total} {what} exceed the oracle budget {DEFAULT_ORACLE_BUDGET}"
+        )
+
+
 def _lex_argmax(
-    k: int, n: int, score: Callable[[np.ndarray], tuple], budget: int, what: str
+    k: int, n: int, score: Callable[[np.ndarray], tuple], what: str
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """First lexicographic maximiser of a per-row score over {0..k-1}^n.
 
@@ -195,11 +207,7 @@ def _lex_argmax(
     k <= _CHUNK_SIZE its memory is a small multiple of _CHUNK_SIZE times the
     widest per-row array, whatever k^n is.
     """
-    total = k**n
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"{k}^{n} = {total} {what} exceed the oracle budget {budget}"
-        )
+    _check_budget(k, n, what)
     m = next((j for j in range(n, -1, -1) if k ** (j + 1) <= _CHUNK_SIZE), 0)
     low = _lex_onehot(k, m)
     T = low
@@ -217,9 +225,7 @@ def _lex_argmax(
     return best
 
 
-def pm_lmo(
-    M: np.ndarray, d: int, budget: int = DEFAULT_ORACLE_BUDGET
-) -> tuple[PMStrategy, float]:
+def pm_lmo(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
     """Exact maximum of sum_xy M[x, y, g(f(x), y)] over deterministic strategies.
 
     Enumerates every encoding f in lexicographic order; for fixed f the best
@@ -247,7 +253,7 @@ def pm_lmo(
         vals = D.sum(axis=2).sum(axis=0, initial=const)
         return vals, vals  # the encoding alone decodes the winner
 
-    f, _, _ = _lex_argmax(d, n_x, score, budget, "encodings")
+    f, _, _ = _lex_argmax(d, n_x, score, "encodings")
     flat = M.reshape(n_x, n_y * 2)
     group = np.stack([(f == a).astype(float) @ flat for a in range(d)])
     table = group.reshape(d, n_y, 2)
@@ -255,9 +261,7 @@ def pm_lmo(
     return PMStrategy(tuple(f.tolist()), g), float(table.max(axis=2).sum())
 
 
-def _pm_lmo_over_responses(
-    M: np.ndarray, d: int, budget: int
-) -> tuple[PMStrategy, float]:
+def _pm_lmo_over_responses(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
     """Exact PM maximum by enumerating response tables g, 2^(d n_y) of them.
 
     For fixed g every x sends its best message.  Ties resolve to the first
@@ -278,16 +282,14 @@ def _pm_lmo_over_responses(
         best += base
         return best.sum(axis=1), per_message
 
-    bits, value, table = _lex_argmax(2, d * n_y, score, budget, "response tables")
+    bits, value, table = _lex_argmax(2, d * n_y, score, "response tables")
     table += base  # as scored, so ties between messages break the same way
     f = tuple(table.argmax(axis=0).tolist())
     g = tuple(map(tuple, bits.reshape(d, n_y).tolist()))
     return PMStrategy(f, g), value
 
 
-def bell_lmo(
-    M: np.ndarray, budget: int = DEFAULT_ORACLE_BUDGET
-) -> tuple[SignAssignment, float]:
+def bell_lmo(M: np.ndarray) -> tuple[SignAssignment, float]:
     """Exact maximum of sum_xy M_xy alpha_x beta_y over sign assignments.
 
     Enumerates the smaller side, +1 before -1; the other side follows as the
@@ -304,7 +306,7 @@ def bell_lmo(
         G = (T[0] - T[1]) @ work
         return np.abs(G).sum(axis=1), G
 
-    bits, value, G = _lex_argmax(2, work.shape[0], score, budget, "sign vectors")
+    bits, value, G = _lex_argmax(2, work.shape[0], score, "sign vectors")
     lead = tuple(1 - 2 * int(b) for b in bits)
     follow = tuple(1 if gv >= 0.0 else -1 for gv in G)
     alpha, beta = (follow, lead) if swap else (lead, follow)
@@ -341,17 +343,20 @@ class PMPolytope:
     """
 
     def __init__(self, d: int, n_x: int, n_y: int) -> None:
-        self.d = int(d)
-        self.n_x = int(n_x)
-        self.n_y = int(n_y)
-        cost_f = self.d**self.n_x
-        cost_g = 2 ** (self.d * self.n_y) if self.d * self.n_y < 60 else float("inf")
-        if min(cost_f, cost_g) > DEFAULT_ORACLE_BUDGET:
-            raise EnumerationBudgetError(
-                f"PM oracle for d={d}, n_x={n_x}, n_y={n_y} exceeds budget "
-                f"{DEFAULT_ORACLE_BUDGET}"
+        self.d, self.n_x, self.n_y = int(d), int(n_x), int(n_y)
+        if min(self.d, self.n_x, self.n_y) < 1:
+            raise ValueError(
+                f"PM scenario needs d, n_x and n_y of at least 1; "
+                f"got d={d}, n_x={n_x}, n_y={n_y}"
             )
-        self._use_g_route = cost_g < cost_f
+        # Exact in Python ints; the bit-length test comes first, so 2^(d n_y)
+        # is only built when it is no larger than d^n_x, whatever d is.
+        n_g, cost_f = self.d * self.n_y, self.d**self.n_x
+        self._use_g_route = n_g < cost_f.bit_length() and 2**n_g < cost_f
+        if self._use_g_route:
+            _check_budget(2, n_g, "response tables")
+        else:
+            _check_budget(self.d, self.n_x, "encodings")
 
     @property
     def point_shape(self) -> tuple[int, ...]:
@@ -360,7 +365,7 @@ class PMPolytope:
     def lmo(self, M: np.ndarray) -> tuple[PMStrategy, float]:
         M = np.asarray(M, dtype=float).reshape(self.point_shape)
         if self._use_g_route:
-            return _pm_lmo_over_responses(M, self.d, DEFAULT_ORACLE_BUDGET)
+            return _pm_lmo_over_responses(M, self.d)
         return pm_lmo(M, self.d)
 
     def vertex(self, strategy: PMStrategy) -> np.ndarray:
@@ -638,7 +643,7 @@ def fw_membership(
     eps_in must be positive, eps_out and max_iter nonnegative.
 
     A non-empty start (strategies of the same polytope, such as a previous
-    verdict's active set) warm-starts the run: they replace the oracle's
+    verdict's strategies) warm-starts the run: they replace the oracle's
     vertex for the point as the first vertex set, which saves that call.
     The corral begins with uniform weights over them, factored in one go
     (null steps reduce a dependent set as its rows enter one by one).
@@ -686,15 +691,14 @@ def fw_membership(
     kept_weights = kept_weights / kept_weights.sum()
     verdict = functools.partial(
         MembershipVerdict,
+        strategies=kept_strategies,
         iterations=iterations,
         termination=termination,
-        active=kept_strategies,
     )
 
     if dist < eps_in:
         return verdict(
             "inside",
-            strategies=kept_strategies,
             weights=kept_weights,
             reconstruction_error=dist,
         )
@@ -798,9 +802,7 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray) -> tuple[bool, np.ndarray, np.
 
 
 def brute_force_membership(
-    point: np.ndarray,
-    vertices: Sequence[np.ndarray] | np.ndarray,
-    budget: int = DEFAULT_VERTEX_BUDGET,
+    point: np.ndarray, vertices: Sequence[np.ndarray] | np.ndarray
 ) -> MembershipVerdict:
     """Exact hull membership against an explicit vertex list.
 
@@ -814,8 +816,10 @@ def brute_force_membership(
     )
     p = np.asarray(point, dtype=float).ravel()
     n, dim = V.shape
-    if n > budget:
-        raise EnumerationBudgetError(f"{n} vertices exceed the budget {budget}")
+    if n > DEFAULT_VERTEX_BUDGET:
+        raise EnumerationBudgetError(
+            f"{n} vertices exceed the budget {DEFAULT_VERTEX_BUDGET}"
+        )
     if p.size != dim:
         raise ValueError("point dimension does not match vertex dimension")
 

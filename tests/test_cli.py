@@ -298,6 +298,17 @@ class TestArgumentChecks:
         )
         assert code == 2 and out == "" and "eps_in" in err
 
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_pm_membership_dimension_below_one_exits_2(
+        self, eigenstates, pauli_triple_075, capsys, dim
+    ):
+        code, out, err = run_cli(
+            capsys, "pm-membership", "--ensemble", eigenstates,
+            "--assemblage", pauli_triple_075, "--dim", dim,
+        )
+        assert code == 2 and out == ""
+        assert f"d={dim}, n_x=6, n_y=3" in err and "at least 1" in err
+
     def test_bell_membership_exits_2(self, tmp_path, capsys):
         table = {"kind": "full", "shape": [2, 2], "data": [0.5, 0.5, 0.5, -0.5]}
         path = write_json(tmp_path / "c.json", table)

@@ -74,11 +74,22 @@ class TestPMOracle:
 
     def test_budget_error(self):
         with pytest.raises(EnumerationBudgetError):
-            pm_lmo(np.zeros((30, 1, 2)), 3, budget=1000)
+            pm_lmo(np.zeros((30, 1, 2)), 3)
 
     def test_polytope_budget_error_when_both_routes_blow_up(self):
         with pytest.raises(EnumerationBudgetError):
             PMPolytope(3, 24, 24)
+
+    def test_huge_dimension_fails_on_the_encoding_budget_without_building_2_to_the_d(self):
+        # 2^(d n_y) would be a 4e12-bit integer; d^n_x has 240 bits
+        with pytest.raises(EnumerationBudgetError, match=r"^1000000000000\^6 = 10+ encodings"):
+            PMPolytope(10**12, 6, 3)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 2), (2, 3, 0), (-2, 6, 3), (1, -1, 1)])
+    def test_polytope_rejects_a_scenario_below_one(self, shape):
+        d, n_x, n_y = shape
+        with pytest.raises(ValueError, match=f"d={d}, n_x={n_x}, n_y={n_y}"):
+            PMPolytope(d, n_x, n_y)
 
 
 class TestBellOracle:
@@ -117,7 +128,42 @@ class TestBellOracle:
 
     def test_budget_error(self):
         with pytest.raises(EnumerationBudgetError):
-            bell_lmo(np.zeros((40, 40)), budget=1000)
+            bell_lmo(np.zeros((40, 40)))
+
+
+class TestOneBudget:
+    """Every exact oracle reads DEFAULT_ORACLE_BUDGET when it is called."""
+
+    MESSAGE = r"^\d+\^\d+ = \d+ [a-z ]+ exceed the oracle budget 100$"
+
+    @pytest.fixture(autouse=True)
+    def low_budget(self, monkeypatch):
+        monkeypatch.setattr(polytope, "DEFAULT_ORACLE_BUDGET", 100)
+
+    @pytest.mark.parametrize(
+        "call, expected",
+        [
+            (lambda: pm_lmo(np.zeros((5, 1, 2)), 3), "3^5 = 243 encodings"),
+            (lambda: bell_lmo(np.zeros((7, 7))), "2^7 = 128 sign vectors"),
+            (lambda: BellPolytope(7, 7).lmo(np.zeros(49)), "2^7 = 128 sign vectors"),
+            (
+                lambda: polytope._pm_lmo_over_responses(np.zeros((20, 4, 2)), 2),
+                "2^8 = 256 response tables",
+            ),
+            (lambda: PMPolytope(3, 5, 3), "3^5 = 243 encodings"),
+            (lambda: PMPolytope(2, 20, 4), "2^8 = 256 response tables"),
+        ],
+        ids=["pm_lmo", "bell_lmo", "bell_adapter", "response_route", "pm_adapter_f", "pm_adapter_g"],
+    )
+    def test_every_oracle_raises_the_one_message(self, call, expected):
+        with pytest.raises(EnumerationBudgetError, match=self.MESSAGE) as info:
+            call()
+        assert str(info.value).startswith(expected)
+
+    def test_within_the_budget_nothing_raises(self):
+        assert pm_lmo(np.zeros((4, 1, 2)), 3)[1] == 0.0
+        assert bell_lmo(np.zeros((6, 6)))[1] == 0.0
+        assert PMPolytope(2, 20, 3)._use_g_route
 
 
 def _row_index(digits) -> int:
@@ -464,19 +510,29 @@ class TestWarmStart:
         assert verdict.is_inside and verdict.reconstruction_error < 1e-12
         rebuilt = sum(w * poly.vertex(s) for w, s in zip(verdict.weights, verdict.strategies))
         assert np.linalg.norm(rebuilt - point) < 1e-12
-        assert verdict.active == verdict.strategies
 
     def test_outside_run_calls_the_oracle_once_per_iteration_plus_one(self):
         cold = fw_membership(TSIRELSON, BellPolytope(2, 2))
-        assert cold.is_outside and cold.active
+        assert cold.is_outside and cold.strategies
         assert "active" not in cold.to_json_dict()
         poly = Counting(2, 2)
         point = 0.9 * TSIRELSON
-        verdict = fw_membership(point, poly, start=cold.active)
+        verdict = fw_membership(point, poly, start=cold.strategies)
         assert verdict.is_outside
         assert poly.calls == verdict.iterations + 1
         assert verdict.witness.L == bell_lmo(verdict.witness.M)[1]
         assert verdict.witness.Q == float(verdict.witness.M.ravel() @ point.ravel())
+
+    @pytest.mark.parametrize("eps_out, status", [(1e-7, "outside"), (10.0, "undecided")])
+    def test_every_status_carries_strategies_but_reports_them_with_weights(
+        self, eps_out, status
+    ):
+        verdict = fw_membership(TSIRELSON, BellPolytope(2, 2), eps_out=eps_out)
+        assert verdict.status == status and verdict.weights is None
+        assert verdict.strategies
+        assert all(isinstance(s, SignAssignment) for s in verdict.strategies)
+        report = verdict.to_json_dict()
+        assert "vertices" not in report and "weights" not in report
 
     def test_warm_and_cold_runs_agree(self):
         rng = np.random.default_rng(28)
@@ -485,7 +541,7 @@ class TestWarmStart:
             point = rng.uniform(-1.3, 1.3, size=(3, 3))
             cold = fw_membership(point, poly)
             moved = point + rng.normal(scale=0.05, size=(3, 3))
-            warm = fw_membership(moved, poly, start=cold.active)
+            warm = fw_membership(moved, poly, start=cold.strategies)
             fresh = fw_membership(moved, poly)
             assert warm.status == fresh.status
             if warm.is_outside:
@@ -532,9 +588,9 @@ class TestBruteForce:
             assert verdict.reconstruction_error < 1e-9
 
     def test_budget(self):
-        verts = np.zeros((20, 2))
+        verts = np.zeros((polytope.DEFAULT_VERTEX_BUDGET + 1, 2))
         with pytest.raises(EnumerationBudgetError):
-            brute_force_membership(np.zeros(2), verts, budget=10)
+            brute_force_membership(np.zeros(2), verts)
 
     def test_verdicts_carry_no_termination(self):
         verts = np.array([s.vector().ravel() for s in enumerate_sign_assignments(2, 2)])
@@ -581,7 +637,7 @@ class TestAgreement:
         agreements = 0
         for _ in range(100):
             poly, verts = _tiny_pm_scenario(rng)
-            start = fw_membership(_tiny_pm_point(rng, poly, verts), poly).active
+            start = fw_membership(_tiny_pm_point(rng, poly, verts), poly).strategies
             point = _tiny_pm_point(rng, poly, verts)
             fw = fw_membership(point, poly, start=start)
             if fw.status == "undecided":
@@ -613,7 +669,7 @@ def _reference_pm_lmo(M, d):
             vals += D.sum(axis=1)
         return vals, vals
 
-    f, _, _ = polytope._lex_argmax(d, n_x, score, 10**7, "encodings")
+    f, _, _ = polytope._lex_argmax(d, n_x, score, "encodings")
     flat = M.reshape(n_x, n_y * 2)
     table = np.stack([(f == a).astype(float) @ flat for a in range(d)]).reshape(d, n_y, 2)
     g = tuple(tuple(int(b) for b in np.argmax(table[a], axis=1)) for a in range(d))
@@ -631,7 +687,7 @@ def _reference_pm_lmo_over_responses(M, d):
         per_message += base
         return per_message.max(axis=1).sum(axis=1), per_message
 
-    bits, value, table = polytope._lex_argmax(2, d * n_y, score, 10**7, "response tables")
+    bits, value, table = polytope._lex_argmax(2, d * n_y, score, "response tables")
     f = tuple(int(a) for a in np.argmax(table, axis=0))
     g = tuple(tuple(int(b) for b in row) for row in bits.reshape(d, n_y))
     return PMStrategy(f, g), value
@@ -673,7 +729,7 @@ class TestOnePassOracles:
         rng = np.random.default_rng(2000 * d + 10 * n_x + n_y)
         for k in range(calls):
             M = self._coefficients(rng, (n_x, n_y, 2), k)
-            strategy, value = polytope._pm_lmo_over_responses(M, d, 10**7)
+            strategy, value = polytope._pm_lmo_over_responses(M, d)
             assert (strategy, value) == _reference_pm_lmo_over_responses(M, d)
             _assert_python_ints(strategy)
 
@@ -751,7 +807,7 @@ class TestPersistentCorral:
             point = pm_behavior(e, pauli_set("xyz", rng.uniform(0.6, 1.0))).data
             cold = fw_membership(point, poly)
             moved = point + rng.normal(scale=0.02, size=point.shape)
-            warm = fw_membership(moved, poly, start=cold.active)
+            warm = fw_membership(moved, poly, start=cold.strategies)
             assert warm.status == fw_membership(moved, poly).status
         assert len(fresh_solve_check) > 100 and max(fresh_solve_check) > 10
 
