@@ -10,7 +10,6 @@ from .qcore import (
     QubitOperator,
     QubitState,
     TwoQubitOperator,
-    Violation,
     apply_white_noise,
     born_bell_phi_plus,
     born_pm,

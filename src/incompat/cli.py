@@ -39,11 +39,13 @@ def _load(path: str, decode):
 
 def _load_list(path: str, cls):
     """An Ensemble or an Assemblage, loaded from path and validated."""
-    obj = _load(path, cls.from_json_list)
-    issue = validate(obj)
-    if issue is not None:
-        raise ValueError(f"{path}: {issue.message}")
-    return obj
+
+    def decode(data):
+        obj = cls.from_json_list(data)
+        validate(obj)
+        return obj
+
+    return _load(path, decode)
 
 
 def _dump(obj) -> None:
@@ -88,10 +90,11 @@ def _cmd_pm_membership(args: argparse.Namespace) -> int:
 
 def _cmd_bell_membership(args: argparse.Namespace) -> int:
     table = _load(args.correlators, CorrelatorTable.from_json_dict)
+    oracle = BellPolytope(*table.shape)
     table.check(atol=1e-9)
     if table.kind != "full":
         raise ValueError("bell-membership expects a full correlator table")
-    return _membership(args, table.values, BellPolytope(*table.shape))
+    return _membership(args, table.values, oracle)
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:

@@ -37,9 +37,11 @@ from .qcore import (
     Assemblage,
     DichotomicMeasurement,
     QubitOperator,
+    check_visibility,
     is_json_number,
     is_json_numbers,
     operator_norm,
+    validate,
 )
 
 MAX_SETTINGS = 10  # 2^10 mother outcomes; beyond this the parent blows up
@@ -287,8 +289,7 @@ def mother_povm_xz(eta: float) -> MotherPOVM:
 
 def noisy_pauli_triple_jm(eta: float) -> bool:
     """Exact threshold for the noisy Pauli triple: compatible iff eta <= 1/sqrt(3)."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {eta}")
+    check_visibility(eta)
     return eta <= 1.0 / math.sqrt(3.0) + 1e-12
 
 
@@ -321,10 +322,12 @@ def decide(a: Assemblage, max_iter: int = 5000, tol: float = 1e-9) -> JMVerdict:
     An incompatible pair makes the whole set incompatible, so every unbiased
     pair is first screened with the analytic norm criterion; then an
     orthogonal unbiased triple meets its exact threshold; the rest goes to
-    the two-sided feasibility search.  A negative max_iter or a tolerance
-    that is not positive raises before any screen runs.
+    the two-sided feasibility search.  A negative max_iter, a tolerance
+    that is not positive, or an assemblage that validate() rejects raises
+    before any screen runs.
     """
     _check_budget(max_iter, tol)
+    validate(a)
     for i, j in itertools.combinations(range(len(a)), 2):
         if a[i].is_unbiased and a[j].is_unbiased:
             is_jm, margin = busch_pair_criterion(a[i], a[j])

@@ -84,8 +84,11 @@ def check_correlator_equality(e: Ensemble, a: Assemblage) -> float:
     P' comes from Born-rule traces on the doubled ensemble; C' from the
     closed-form maximally-entangled correlator of the transposed-state
     measurements against the same Bob assemblage.  The identity is exact for
-    unbiased measurements, so the return value is numerical noise.
+    unbiased measurements, so the return value is numerical noise.  e and a
+    must pass validate().
     """
+    validate(e)
+    validate(a)
     _require_unbiased(a)
     doubled = double_ensemble(e)
     p_vals = pm_correlators(doubled, a).values
@@ -243,13 +246,12 @@ def certify_incompatibility(a: Assemblage, e: Ensemble, d: int) -> Certification
     entangled state.  The PM witness keeps the classical bound of
     fw_membership's final exact oracle call.  Outside at d = 2 also
     establishes that the assemblage is not jointly measurable, since a jointly
-    measurable set admits a two-message model for every ensemble.
+    measurable set admits a two-message model for every ensemble.  e and a
+    must pass validate().
     """
     start = time.perf_counter()
-    for obj in (e, a):
-        issue = validate(obj)
-        if issue is not None:
-            raise ValueError(f"invalid input: {issue.message}")
+    validate(e)
+    validate(a)
     doubled = double_ensemble(e)
     behavior = pm_behavior(doubled, a)
     oracle = PMPolytope(d, len(doubled), len(a))
@@ -355,15 +357,18 @@ def seesaw_ensemble_search(
     pairwise bisectors of the measurement axes.  Returns the best ensemble
     found and its certified violation (Q - L of the correlator witness in the
     bound-2 normalisation), or the initial ensemble and 0.0 when every round
-    stayed classical.  rounds must be nonnegative.  After a climb, Frank-Wolfe
-    warm-starts from the last verdict's active set; a restart starts cold.  A
-    behaviour met again (such as the bisector seed after every other restart)
-    reuses its first verdict instead of being decided again.
+    stayed classical.  rounds must be nonnegative, and a (and initial, when
+    given) must pass validate().  After a climb, Frank-Wolfe warm-starts from
+    the last verdict's active set; a restart starts cold.  A behaviour met
+    again (such as the bisector seed after every other restart) reuses its
+    first verdict instead of being decided again.
     """
     if rounds < 0:
         raise ValueError(f"see-saw rounds must be nonnegative, got {rounds}")
+    validate(a)
     rng = rng if rng is not None else np.random.default_rng()
     if initial is not None:
+        validate(initial)
         current = initial
         n_states = len(initial)
     else:

@@ -376,8 +376,11 @@ class BellPolytope:
     """LMO adapter for the Bell full-correlator polytope."""
 
     def __init__(self, n_a: int, n_b: int) -> None:
-        self.n_a = int(n_a)
-        self.n_b = int(n_b)
+        self.n_a, self.n_b = int(n_a), int(n_b)
+        if min(self.n_a, self.n_b) < 1:
+            raise ValueError(
+                f"Bell scenario needs n_a and n_b of at least 1; got n_a={n_a}, n_b={n_b}"
+            )
 
     @property
     def point_shape(self) -> tuple[int, ...]:

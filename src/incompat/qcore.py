@@ -6,7 +6,8 @@ with real ``s`` and real 3-vector ``v``.  In this form eigenvalues, operator
 norms, traces of products and white-noise mixing are all closed form, so no
 iterative eigensolver is ever needed.  Dense 4x4 matrices appear only where a
 tensor product is unavoidable (the maximally entangled state and Bell-type
-operators).
+operators).  Input checks raise ValueError: validate() names the first invalid
+state or effect, and check_visibility() any visibility outside [0, 1].
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ def is_json_number(x) -> bool:
 def is_json_numbers(x, length: int | None = None) -> bool:
     """True for a JSON array of numbers, of the given length when one is given."""
     return isinstance(x, list) and length in (None, len(x)) and all(map(is_json_number, x))
+
+
+def check_visibility(eta: float) -> None:
+    """Raise ValueError unless 0 <= eta <= 1; NaN does not pass."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {eta}")
 
 
 def _as_vec3(v: Iterable[float]) -> np.ndarray:
@@ -227,8 +234,7 @@ class DichotomicMeasurement:
         cls, direction: Iterable[float], eta: float
     ) -> "DichotomicMeasurement":
         """effect0 = eta |phi><phi| + (1 - eta) I/2 along the given Bloch direction."""
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"visibility must lie in [0, 1], got {eta}")
+        check_visibility(eta)
         d = _as_vec3(direction)
         n = np.linalg.norm(d)
         if n == 0.0:
@@ -251,8 +257,7 @@ def apply_white_noise(
     m: DichotomicMeasurement, eta: float
 ) -> DichotomicMeasurement:
     """Mix each effect with tr(effect) I/2: keeps s, scales v by eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {eta}")
+    check_visibility(eta)
     e = m.effect0
     return DichotomicMeasurement(QubitOperator(e.s, eta * e.v))
 
@@ -391,58 +396,34 @@ class Assemblage:
         return cls(tuple(DichotomicMeasurement.from_json_dict(d) for d in data))
 
 
-@dataclass(frozen=True)
-class Violation:
-    """First invariant breach found by validate(): which member and what failed."""
-
-    index: int
-    kind: str
-    message: str
-
-
-def _is_finite(op: QubitOperator) -> bool:
-    return math.isfinite(op.s) and bool(np.isfinite(op.v).all())
-
-
-def _validate_state(rho: QubitState, idx: int) -> Violation | None:
-    if not _is_finite(rho.op):
-        return Violation(idx, "finite", f"state {idx} has a non-finite coefficient")
-    if abs(rho.op.s - 0.5) > ATOL_VALID:
-        return Violation(idx, "trace", f"state {idx} has trace {rho.op.trace():.6g} != 1")
-    if rho.op.vnorm > rho.op.s + ATOL_VALID:
-        return Violation(
-            idx, "psd", f"state {idx} has |v| = {rho.op.vnorm:.6g} > s = {rho.op.s:.6g}"
-        )
-    return None
+def _check_operator(op: QubitOperator, name: str, is_state: bool) -> None:
+    """Raise ValueError naming op and its first broken invariant, within 1e-10."""
+    s, r = op.s, op.vnorm
+    if not (math.isfinite(s) and np.isfinite(op.v).all()):
+        problem = "a non-finite coefficient"
+    elif is_state and abs(s - 0.5) > ATOL_VALID:
+        problem = f"trace {2.0 * s:.6g} != 1"
+    elif not is_state and not -ATOL_VALID <= s <= 1.0 + ATOL_VALID:
+        problem = f"s = {s:.6g} outside [0, 1]"
+    elif r > s + ATOL_VALID:
+        problem = f"|v| = {r:.6g} > s = {s:.6g}"
+    elif not is_state and s + r > 1.0 + ATOL_VALID:
+        problem = f"s + |v| = {s + r:.6g} > 1"
+    else:
+        return
+    raise ValueError(f"{name} has {problem}")
 
 
-def _validate_measurement(m: DichotomicMeasurement, idx: int) -> Violation | None:
-    e = m.effect0
-    if not _is_finite(e):
-        return Violation(idx, "finite", f"effect {idx} has a non-finite coefficient")
-    if not -ATOL_VALID <= e.s <= 1.0 + ATOL_VALID:
-        return Violation(idx, "psd", f"effect {idx} has s = {e.s:.6g} outside [0, 1]")
-    if e.vnorm > e.s + ATOL_VALID:
-        return Violation(
-            idx, "psd", f"effect {idx} has |v| = {e.vnorm:.6g} > s = {e.s:.6g}"
-        )
-    if e.s + e.vnorm > 1.0 + ATOL_VALID:
-        return Violation(
-            idx,
-            "leq_identity",
-            f"effect {idx} has s + |v| = {e.s + e.vnorm:.6g} > 1",
-        )
-    return None
-
-
-def validate(obj: Union[Ensemble, Assemblage]) -> Violation | None:
-    """Check all type invariants within 1e-10; return the first violation or None."""
+def validate(obj: Union[Ensemble, Assemblage]) -> None:
+    """Raise ValueError naming the first invalid state or effect of obj (or its
+    emptiness); return None when obj is valid, every invariant held to 1e-10."""
     if isinstance(obj, Ensemble):
-        check, empty = _validate_state, "ensemble has no states"
+        ops, name, empty = [rho.op for rho in obj], "state", "ensemble has no states"
     elif isinstance(obj, Assemblage):
-        check, empty = _validate_measurement, "assemblage has no measurements"
+        ops, name, empty = [m.effect0 for m in obj], "effect", "assemblage has no measurements"
     else:
         raise TypeError(f"validate expects Ensemble or Assemblage, got {type(obj)!r}")
-    if len(obj) == 0:
-        return Violation(-1, "empty", empty)
-    return next(filter(None, (check(x, idx) for idx, x in enumerate(obj))), None)
+    if not ops:
+        raise ValueError(empty)
+    for idx, op in enumerate(ops):
+        _check_operator(op, f"{name} {idx}", name == "state")

@@ -469,6 +469,14 @@ class TestMalformedStructure:
 class TestInvalidContent:
     """Well-formed JSON that breaks a physical invariant exits 2 with its reason."""
 
+    def test_bell_membership_rejects_an_empty_table(self, tmp_path, capsys):
+        path = write_json(tmp_path / "c.json", {"kind": "full", "shape": [0, 2], "data": []})
+        code, out, err = run_cli(capsys, "bell-membership", "--correlators", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            "incompat: error: Bell scenario needs n_a and n_b of at least 1; got n_a=0, n_b=2\n"
+        )
+
     def test_bell_membership_rejects_a_single_correlator_table(self, tmp_path, capsys):
         table = {"kind": "single", "shape": [2, 2], "data": [0.5, 0.5, 0.5, -0.5]}
         path = write_json(tmp_path / "c.json", table)

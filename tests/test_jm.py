@@ -236,6 +236,20 @@ class TestDecide:
         assert decide(cases[0][0]).pair == (0, 1)
         assert decide(cases[1][0]).visibility == pytest.approx(0.6)
 
+    def test_nan_coefficient_is_rejected_before_the_pair_screen(self):
+        # unchecked, the NaN margin fails the screen's test and gives not_jm
+        nan = DichotomicMeasurement(QubitOperator(0.5, (math.nan, 0.0, 0.0)))
+        a = Assemblage((nan, DichotomicMeasurement.projective((0, 0, 1))))
+        with pytest.raises(ValueError, match="^effect 0 has a non-finite coefficient$"):
+            decide(a)
+
+    def test_effect_above_identity_gets_no_witness(self):
+        # unchecked, s = 2 gives an exactly verified dykstra-gap-witness
+        big = DichotomicMeasurement(QubitOperator(2.0, (0.0, 0.0, 0.0)))
+        a = Assemblage((big, DichotomicMeasurement.projective((0, 0, 1))))
+        with pytest.raises(ValueError, match=r"^effect 0 has s = 2 outside \[0, 1\]$"):
+            decide(a)
+
 
 class TestGapWitness:
     """not_jm from the Dykstra search: exact, sound and tamper-evident."""

@@ -5,7 +5,7 @@ import pytest
 
 from incompat import pmbell
 from incompat.correlations import pm_behavior, pm_correlators
-from incompat.gallery import pauli_set
+from incompat.gallery import pauli_eigenstate_ensemble, pauli_set
 from incompat.pmbell import (
     certify_incompatibility,
     check_correlator_equality,
@@ -120,6 +120,15 @@ class TestCorrelatorEquality:
         with pytest.raises(ValueError):
             check_correlator_equality(e, biased)
 
+    def test_rejects_a_non_finite_coefficient(self):
+        # unchecked, the deviation comes back as nan
+        nan_state = Ensemble((QubitState(QubitOperator(0.5, (math.nan, 0.0, 0.0))),))
+        with pytest.raises(ValueError, match="^state 0 has a non-finite coefficient$"):
+            check_correlator_equality(nan_state, pauli_set("xz", 0.9))
+        nan_effect = Assemblage((DichotomicMeasurement(QubitOperator(0.5, (0, 0, math.nan))),))
+        with pytest.raises(ValueError, match="^effect 0 has a non-finite coefficient$"):
+            check_correlator_equality(pauli_eigenstate_ensemble(), nan_effect)
+
 
 class TestWitnessTransfer:
     def test_chsh_coefficients_on_doubled_pair(self):
@@ -206,6 +215,13 @@ class TestCertification:
         assert report.bell is not None
         assert report.bell.quantum_value > report.bell.local_bound == pytest.approx(2.0)
 
+    def test_invalid_input_raises_the_validate_message(self):
+        long_state = Ensemble((QubitState.from_bloch((1.2, 0, 0)),))
+        with pytest.raises(ValueError, match=r"^state 0 has \|v\| = 0\.6 > s = 0\.5$"):
+            certify_incompatibility(pauli_set("xyz", 0.9), long_state, 2)
+        with pytest.raises(ValueError, match="^assemblage has no measurements$"):
+            certify_incompatibility(Assemblage(()), diagonal_ensemble(), 2)
+
     def test_report_json_shape(self):
         report = certify_incompatibility(pauli_set("xyz", 0.8), diagonal_ensemble(), 2)
         payload = report.to_json_dict()
@@ -274,6 +290,18 @@ class TestSeesaw:
     def test_negative_rounds_are_rejected(self):
         with pytest.raises(ValueError, match="rounds"):
             seesaw_ensemble_search(pauli_set("xyz", 0.9), 2, rounds=-1)
+
+    def test_nan_assemblage_is_rejected_before_any_round(self):
+        # unchecked, numpy fails on a zero-size reduction inside the first round
+        nan = DichotomicMeasurement(QubitOperator(0.5, (math.nan, 0.0, 0.0)))
+        a = Assemblage((nan, DichotomicMeasurement.projective((0, 0, 1))))
+        with pytest.raises(ValueError, match="^effect 0 has a non-finite coefficient$"):
+            seesaw_ensemble_search(a, 2, rounds=1, rng=np.random.default_rng(0))
+
+    def test_invalid_initial_ensemble_is_rejected(self):
+        initial = Ensemble((QubitState.maximally_mixed(), QubitState.from_bloch((0, 0, 1.2))))
+        with pytest.raises(ValueError, match=r"^state 1 has \|v\| = 0\.6 > s = 0\.5$"):
+            seesaw_ensemble_search(pauli_set("xyz", 0.9), 2, rounds=1, initial=initial)
 
     def test_each_distinct_ensemble_is_decided_once(self, monkeypatch):
         a = pauli_set("xyz", 0.5)

@@ -130,6 +130,13 @@ class TestBellOracle:
         with pytest.raises(EnumerationBudgetError):
             bell_lmo(np.zeros((40, 40)))
 
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0), (-1, 3)])
+    def test_polytope_rejects_a_scenario_below_one(self, shape):
+        # an empty scenario used to be decided "inside"
+        n_a, n_b = shape
+        with pytest.raises(ValueError, match=f"^Bell scenario .*; got n_a={n_a}, n_b={n_b}$"):
+            BellPolytope(n_a, n_b)
+
 
 class TestOneBudget:
     """Every exact oracle reads DEFAULT_ORACLE_BUDGET when it is called."""

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incompat.jm import noisy_pauli_triple_jm
 from incompat.qcore import (
     Assemblage,
     DichotomicMeasurement,
@@ -179,13 +180,13 @@ class TestValidate:
 
     def test_overlong_bloch_vector(self):
         e = Ensemble((QubitState.from_bloch((1.1, 0, 0)),))
-        issue = validate(e)
-        assert issue is not None and issue.kind == "psd" and issue.index == 0
+        with pytest.raises(ValueError, match=r"^state 0 has \|v\| = 0\.55 > s = 0\.5$"):
+            validate(e)
 
     def test_effect_above_identity(self):
         a = Assemblage((DichotomicMeasurement(QubitOperator(0.6, (0.5, 0, 0))),))
-        issue = validate(a)
-        assert issue is not None and issue.kind == "leq_identity"
+        with pytest.raises(ValueError, match=r"^effect 0 has s \+ \|v\| = 1\.1 > 1$"):
+            validate(a)
 
     def test_degenerate_effects_allowed(self):
         a = Assemblage(
@@ -204,8 +205,17 @@ class TestValidate:
                 QubitState.from_bloch((1.3, 0, 0)),
             )
         )
-        issue = validate(e)
-        assert issue is not None and issue.index == 1
+        with pytest.raises(ValueError, match=r"^state 1 has \|v\| = 0\.6 > s = 0\.5$"):
+            validate(e)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [(Ensemble(()), "ensemble has no states"),
+         (Assemblage(()), "assemblage has no measurements")],
+    )
+    def test_empty_is_rejected(self, obj, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate(obj)
 
 
 class TestJsonRoundTrips:
@@ -242,8 +252,16 @@ class TestNoisyProjective:
 
     @pytest.mark.parametrize("eta", [1.5, -0.1, float("nan")])
     def test_visibility_out_of_range_is_rejected(self, eta):
-        with pytest.raises(ValueError, match="visibility"):
-            DichotomicMeasurement.noisy_projective((0, 0, 1), eta)
+        # one message from every function that takes a visibility
+        message = rf"^visibility must lie in \[0, 1\], got {eta}$"
+        m = DichotomicMeasurement.projective((1, 0, 0))
+        for call in (
+            lambda: DichotomicMeasurement.noisy_projective((0, 0, 1), eta),
+            lambda: apply_white_noise(m, eta),
+            lambda: noisy_pauli_triple_jm(eta),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestJsonFormat:
@@ -269,9 +287,8 @@ class TestJsonFormat:
         e = Ensemble((QubitState(QubitOperator(0.5, (bad, 0, 0))),))
         a = Assemblage((DichotomicMeasurement(QubitOperator(0.5, (0, 0, bad))),))
         for obj, what in ((e, "state"), (a, "effect")):
-            issue = validate(obj)
-            assert issue is not None and issue.kind == "finite"
-            assert issue.message == f"{what} 0 has a non-finite coefficient"
+            with pytest.raises(ValueError, match=f"^{what} 0 has a non-finite coefficient$"):
+                validate(obj)
 
     @pytest.mark.parametrize(
         "data",
