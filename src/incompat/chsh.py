@@ -85,13 +85,15 @@ def optimal_alice_settings(
 ) -> tuple[QubitOperator, QubitOperator, float]:
     """Alice observables attaining <phi+|CHSH|phi+> = ||B0 + B1|| + ||B0 - B1||.
 
-    Requires traceless B0, B1 with norms at most one.  Returns (A0, A1, value)
-    where A0, A1 are +-1 observables and value is the dense phi+ expectation,
-    asserted equal to chsh_norm_bound within 1e-9.
+    Requires B0, B1 with norms at most one, traceless within the tolerance of
+    is_unbiased.  Returns (A0, A1, value) where A0, A1 are +-1 observables and
+    value is the dense phi+ expectation, asserted equal to chsh_norm_bound
+    within 1e-9.
     """
     for name, op in (("B0", b0), ("B1", b1)):
         _check_observable(op, name)
-        if abs(op.trace()) > ATOL_VALID:
+        # tr(2E - I) = 4 (s - 1/2), so this is is_unbiased's tolerance, exactly
+        if abs(op.trace()) > 4.0 * ATOL_VALID:
             raise ValueError(f"{name} must be traceless")
     psi0 = _attaining_state(b0 + b1)
     psi1 = _attaining_state(b0 - b1)

@@ -6,6 +6,9 @@ correlator P_xy = p(0|x,y) - p(1|x,y) on the PM side and the full correlator
 C_xy = p(a=b|x,y) - p(a!=b|x,y) on the Bell side.  On the maximally entangled
 state the full correlator has the closed form tr(A^T B)/2 in terms of the two
 observables, which is what makes the PM <-> Bell transfer machinery work.
+
+Both table classes share one base (kind, read-only float ``data``, JSON codec)
+and add their own check, which refuses an empty table and NaN entries.
 """
 
 from __future__ import annotations
@@ -26,39 +29,20 @@ from .qcore import (
 )
 
 
-def _table_from_json(cls, data: dict, name: str):
-    """cls(kind, array) from {"kind", "shape": [sizes], "data": [numbers]}; else ValueError."""
-    if not (
-        isinstance(data, dict)
-        and "kind" in data
-        and isinstance(data.get("shape"), list)
-        and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in data["shape"])
-        and is_json_numbers(data.get("data"))
-    ):
-        raise ValueError(f"expected a {name} object")
-    return cls(data["kind"], np.asarray(data["data"], dtype=float).reshape(data["shape"]))
-
-
 @dataclass(frozen=True)
-class BehaviorTable:
-    """Conditional probability table.
-
-    kind "pm":   data[x, y, b]    = p(b|x, y)
-    kind "bell": data[x, y, a, b] = p(a, b|x, y)
-    """
+class _Table:
+    """Read-only float array of a kind in _KINDS (kind -> axes), named _NAME."""
 
     kind: str
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in ("pm", "bell"):
-            raise ValueError(f"kind must be 'pm' or 'bell', got {self.kind!r}")
+        if self.kind not in self._KINDS:
+            kinds = " or ".join(repr(k) for k in self._KINDS)
+            raise ValueError(f"kind must be {kinds}, got {self.kind!r}")
         arr = np.asarray(self.data, dtype=float).copy()
-        expected_ndim = 3 if self.kind == "pm" else 4
-        if arr.ndim != expected_ndim:
-            raise ValueError(
-                f"{self.kind} table needs {expected_ndim} axes, got {arr.ndim}"
-            )
+        if arr.ndim != (n := self._KINDS[self.kind]):
+            raise ValueError(f"{self.kind} table needs {n} axes, got {arr.ndim}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -66,65 +50,67 @@ class BehaviorTable:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
+    def _check_not_empty(self) -> None:
+        if self.data.size == 0:
+            raise ValueError(f"{self._NAME} has no entries")
+
+    def to_json_dict(self) -> dict:
+        return {"kind": self.kind, "shape": list(self.shape), "data": self.data.ravel().tolist()}
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "_Table":
+        """Decode ``{"kind", "shape": [sizes], "data": [numbers]}``; else ValueError."""
+        if not (
+            isinstance(data, dict)
+            and "kind" in data
+            and isinstance(data.get("shape"), list)
+            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in data["shape"])
+            and is_json_numbers(data.get("data"))
+        ):
+            raise ValueError(f"expected a {cls._NAME} object")
+        return cls(data["kind"], np.asarray(data["data"], dtype=float).reshape(data["shape"]))
+
+
+@dataclass(frozen=True)
+class BehaviorTable(_Table):
+    """Conditional probability table.
+
+    kind "pm":   data[x, y, b]    = p(b|x, y)
+    kind "bell": data[x, y, a, b] = p(a, b|x, y)
+    """
+
+    _KINDS = {"pm": 3, "bell": 4}
+    _NAME = "behaviour table"
+
     def normalization_error(self) -> float:
         axis = -1 if self.kind == "pm" else (-2, -1)
         return float(np.max(np.abs(self.data.sum(axis=axis) - 1.0)))
 
     def check(self, atol: float = ATOL_ALGEBRA) -> None:
-        if np.min(self.data) < -atol:
-            raise ValueError("behaviour table has negative entries")
+        """Raise ValueError unless nonempty, nonnegative and normalised; NaN is neither."""
+        self._check_not_empty()
+        if not np.min(self.data) >= -atol:
+            raise ValueError("behaviour table has negative or NaN entries")
         if self.normalization_error() > atol:
             raise ValueError("behaviour table is not normalised per (x, y) cell")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "shape": list(self.data.shape),
-            "data": [float(t) for t in self.data.ravel()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BehaviorTable":
-        """Decode ``{"kind", "shape": [sizes], "data": [numbers]}``; else ValueError."""
-        return _table_from_json(cls, data, "behaviour table")
-
 
 @dataclass(frozen=True)
-class CorrelatorTable:
+class CorrelatorTable(_Table):
     """Matrix of expectation values in [-1, 1], kind 'single' (PM) or 'full' (Bell)."""
 
-    kind: str
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("single", "full"):
-            raise ValueError(f"kind must be 'single' or 'full', got {self.kind!r}")
-        arr = np.asarray(self.values, dtype=float).copy()
-        if arr.ndim != 2:
-            raise ValueError(f"correlator table must be 2-d, got {arr.ndim} axes")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+    _KINDS = {"single": 2, "full": 2}
+    _NAME = "correlator table"
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
+    def values(self) -> np.ndarray:
+        return self.data
 
     def check(self, atol: float = ATOL_ALGEBRA) -> None:
-        """Raise ValueError unless every entry lies in [-1, 1]; NaN does not."""
-        if not np.max(np.abs(self.values)) <= 1.0 + atol:
+        """Raise ValueError unless nonempty with every entry in [-1, 1]; NaN is not."""
+        self._check_not_empty()
+        if not np.max(np.abs(self.data)) <= 1.0 + atol:
             raise ValueError("correlator entries must lie in [-1, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "shape": list(self.values.shape),
-            "data": [float(t) for t in self.values.ravel()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CorrelatorTable":
-        """Decode ``{"kind", "shape": [rows, cols], "data": [numbers]}``; else ValueError."""
-        return _table_from_json(cls, data, "correlator table")
 
 
 def pm_behavior(e: Ensemble, a: Assemblage) -> BehaviorTable:

@@ -37,6 +37,7 @@ from .qcore import (
     Assemblage,
     DichotomicMeasurement,
     QubitOperator,
+    check_unbiased,
     check_visibility,
     is_json_number,
     is_json_numbers,
@@ -258,12 +259,7 @@ def busch_pair_criterion(
     margins certify compatibility.  Raises for biased inputs, where this
     criterion does not apply.
     """
-    for idx, m in enumerate((m0, m1)):
-        if not m.is_unbiased:
-            raise ValueError(
-                f"measurement {idx} is biased (tr(effect0) != 1); "
-                "the pair norm criterion applies to unbiased measurements only"
-            )
+    check_unbiased((m0, m1), "the pair norm criterion applies to unbiased measurements only")
     b0, b1 = m0.observable, m1.observable
     margin = 2.0 - operator_norm(b0 + b1) - operator_norm(b0 - b1)
     return (margin >= -ATOL_VALID, margin)

@@ -42,6 +42,7 @@ from .qcore import (
     DichotomicMeasurement,
     Ensemble,
     QubitState,
+    check_unbiased,
     transpose,
     validate,
 )
@@ -70,14 +71,6 @@ def states_to_measurements(e: Ensemble) -> Assemblage:
     )
 
 
-def _require_unbiased(a: Assemblage) -> None:
-    for y, m in enumerate(a):
-        if not m.is_unbiased:
-            raise ValueError(
-                f"measurement {y} is biased; the PM-Bell transfer needs tr(B_y) = 0"
-            )
-
-
 def check_correlator_equality(e: Ensemble, a: Assemblage) -> float:
     """Max |C'_xy - P'_xy| between the doubled PM correlators and the Bell side.
 
@@ -89,7 +82,7 @@ def check_correlator_equality(e: Ensemble, a: Assemblage) -> float:
     """
     validate(e)
     validate(a)
-    _require_unbiased(a)
+    check_unbiased(a, "the PM-Bell transfer needs tr(B_y) = 0")
     doubled = double_ensemble(e)
     p_vals = pm_correlators(doubled, a).values
     alice = states_to_measurements(doubled)

@@ -7,7 +7,8 @@ norms, traces of products and white-noise mixing are all closed form, so no
 iterative eigensolver is ever needed.  Dense 4x4 matrices appear only where a
 tensor product is unavoidable (the maximally entangled state and Bell-type
 operators).  Input checks raise ValueError: validate() names the first invalid
-state or effect, and check_visibility() any visibility outside [0, 1].
+state or effect, check_visibility() any visibility outside [0, 1], and
+check_unbiased() the first biased measurement.
 """
 
 from __future__ import annotations
@@ -427,3 +428,10 @@ def validate(obj: Union[Ensemble, Assemblage]) -> None:
         raise ValueError(empty)
     for idx, op in enumerate(ops):
         _check_operator(op, f"{name} {idx}", name == "state")
+
+
+def check_unbiased(measurements: Iterable[DichotomicMeasurement], purpose: str) -> None:
+    """Raise ValueError naming the first biased measurement and why it matters."""
+    for idx, m in enumerate(measurements):
+        if not m.is_unbiased:
+            raise ValueError(f"measurement {idx} is biased (tr(effect0) != 1); {purpose}")

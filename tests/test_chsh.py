@@ -9,6 +9,7 @@ from incompat.chsh import (
     chsh_operator,
     optimal_alice_settings,
 )
+from incompat.jm import busch_pair_criterion
 from incompat.qcore import (
     PHI_PLUS_VEC,
     DichotomicMeasurement,
@@ -137,6 +138,17 @@ class TestAttainability:
         biased = QubitOperator(0.3, (0.2, 0, 0))
         with pytest.raises(ValueError):
             optimal_alice_settings(biased, QubitOperator.pauli("z"))
+
+    @pytest.mark.parametrize("offset", [6e-11, -6e-11, 1e-10, -1e-10, 1.0000001e-10, 1.5e-10])
+    def test_accepts_exactly_the_observables_of_unbiased_measurements(self, offset):
+        m0 = DichotomicMeasurement(QubitOperator(0.5 + offset, (0.0, 0.0, 0.4)))
+        m1 = DichotomicMeasurement.noisy_projective((1, 0, 0), 0.8)
+        if m0.is_unbiased:
+            busch_pair_criterion(m0, m1)
+            optimal_alice_settings(m0.observable, m1.observable)
+        else:
+            with pytest.raises(ValueError, match="B0 must be traceless"):
+                optimal_alice_settings(m0.observable, m1.observable)
 
     def test_value_matches_dense_expectation(self):
         rng = np.random.default_rng(44)

@@ -483,6 +483,23 @@ class TestInvalidContent:
         code, out, err = run_cli(capsys, "bell-membership", "--correlators", path)
         assert code == 2 and out == "" and "full correlator table" in err
 
+    def test_bell_membership_rejects_a_table_with_three_axes(self, tmp_path, capsys):
+        table = {"kind": "full", "shape": [1, 2, 2], "data": [0.5, 0.5, 0.5, -0.5]}
+        path = write_json(tmp_path / "c.json", table)
+        code, out, err = run_cli(capsys, "bell-membership", "--correlators", path)
+        assert (code, out) == (2, "")
+        assert err == f"incompat: error: {path}: full table needs 2 axes, got 3\n"
+
+    def test_equality_check_rejects_a_biased_assemblage(self, tmp_path, capsys):
+        e = write_json(tmp_path / "e.json", [{"s": 0.5, "v": [0.0, 0.0, 0.5]}])
+        a = write_json(tmp_path / "a.json", [{"s": 0.6, "v": [0.0, 0.0, 0.1]}])
+        code, out, err = run_cli(capsys, "equality-check", "--ensemble", e, "--assemblage", a)
+        assert (code, out) == (2, "")
+        assert err == (
+            "incompat: error: measurement 0 is biased (tr(effect0) != 1); "
+            "the PM-Bell transfer needs tr(B_y) = 0\n"
+        )
+
     @pytest.mark.parametrize("s", [0.4, 0.6])
     def test_state_with_trace_other_than_one(self, pauli_triple_075, tmp_path, capsys, s):
         path = write_json(tmp_path / "e.json", [{"s": s, "v": [0.0, 0.0, 0.1]}])

@@ -170,11 +170,9 @@ class TestSingleCorrelatorIdentity:
 
     def test_json_round_trip(self):
         table = pm_behavior(pauli_eigenstate_ensemble(), pauli_set("xy", 0.6))
-        back = BehaviorTable.from_json_dict(table.to_json_dict())
-        assert np.allclose(back.data, table.data)
-        corr = to_correlators(table)
-        back_c = CorrelatorTable.from_json_dict(corr.to_json_dict())
-        assert np.allclose(back_c.values, corr.values)
+        for t in (table, to_correlators(table)):
+            back = type(t).from_json_dict(t.to_json_dict())
+            assert back.kind == t.kind and np.array_equal(back.data, t.data)
 
 
 class TestBellBehaviorOnePass:
@@ -230,10 +228,50 @@ class TestCorrelatorTableFormat:
         with pytest.raises(ValueError, match="correlator table object"):
             CorrelatorTable.from_json_dict(data)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_check_rejects_non_finite_entries(self, bad):
-        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            CorrelatorTable("full", [[0.5, bad]]).check()
+    @pytest.mark.parametrize(
+        "table, match",
+        [(CorrelatorTable("full", [[0.5, math.nan]]), r"\[-1, 1\]"),
+         (CorrelatorTable("full", [[0.5, math.inf]]), r"\[-1, 1\]"),
+         (BehaviorTable("pm", np.full((1, 1, 2), math.nan)), "negative or NaN entries"),
+         (BehaviorTable("pm", [[[math.nan, 0.5]]]), "negative or NaN entries"),
+         (BehaviorTable("pm", [[[math.inf, 0.5]]]), "not normalised")],
+    )
+    def test_check_rejects_non_finite_entries(self, table, match):
+        with pytest.raises(ValueError, match=match):
+            table.check()
+
+    @pytest.mark.parametrize(
+        "table",
+        [CorrelatorTable("full", np.zeros((0, 2))), CorrelatorTable("single", np.zeros((2, 0))),
+         BehaviorTable("pm", np.zeros((0, 2, 2))), BehaviorTable("bell", np.zeros((1, 1, 0, 2)))],
+    )
+    def test_check_rejects_an_empty_table(self, table):
+        name = "correlator" if isinstance(table, CorrelatorTable) else "behaviour"
+        with pytest.raises(ValueError, match=f"^{name} table has no entries$"):
+            table.check()
+
+    @pytest.mark.parametrize(
+        "cls, kind, shape, message",
+        [(CorrelatorTable, "full", (1, 2, 2), "full table needs 2 axes, got 3"),
+         (CorrelatorTable, "single", (2,), "single table needs 2 axes, got 1"),
+         (BehaviorTable, "pm", (2, 2), "pm table needs 3 axes, got 2"),
+         (BehaviorTable, "bell", (1, 1, 2), "bell table needs 4 axes, got 3"),
+         (CorrelatorTable, "pm", (2, 2), "kind must be 'single' or 'full', got 'pm'"),
+         (BehaviorTable, "full", (1, 1, 2), "kind must be 'pm' or 'bell', got 'full'")],
+    )
+    def test_construction_checks_kind_and_axes(self, cls, kind, shape, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls(kind, np.zeros(shape))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cls.from_json_dict({"kind": kind, "shape": list(shape), "data": [0.0] * math.prod(shape)})
+
+    def test_values_is_the_read_only_data(self):
+        table = CorrelatorTable("full", [[0.5, -0.5]])
+        assert table.values is table.data and not table.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.values[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            table.values = np.zeros((1, 2))
 
     @pytest.mark.parametrize(
         "data",

@@ -98,8 +98,15 @@ class TestPairCriterion:
 
     def test_rejects_biased_input(self):
         biased = DichotomicMeasurement(QubitOperator(0.6, (0.1, 0, 0)))
-        with pytest.raises(ValueError):
+        message = (
+            r"^measurement {} is biased \(tr\(effect0\) != 1\); "
+            r"the pair norm criterion applies to unbiased measurements only$"
+        )
+        with pytest.raises(ValueError, match=message.format(0)):
             busch_pair_criterion(biased, biased)
+        unbiased = DichotomicMeasurement.projective((0, 0, 1))
+        with pytest.raises(ValueError, match=message.format(1)):
+            busch_pair_criterion(unbiased, biased)
 
 
 class TestMotherPovmXZ:

@@ -117,7 +117,11 @@ class TestCorrelatorEquality:
     def test_rejects_biased_measurements(self):
         e = Ensemble((QubitState.maximally_mixed(),))
         biased = Assemblage((DichotomicMeasurement(QubitOperator(0.6, (0, 0, 0.1))),))
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError,
+            match=r"^measurement 0 is biased \(tr\(effect0\) != 1\); "
+            r"the PM-Bell transfer needs tr\(B_y\) = 0$",
+        ):
             check_correlator_equality(e, biased)
 
     def test_rejects_a_non_finite_coefficient(self):
