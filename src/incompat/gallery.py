@@ -18,6 +18,11 @@ _AXIS_DIRECTIONS = {
 }
 
 
+def _noisy_set(directions: Iterable, eta: float) -> Assemblage:
+    """Noisy projective measurements at visibility eta along each direction."""
+    return Assemblage(DichotomicMeasurement.noisy_projective(d, eta) for d in directions)
+
+
 def pauli_set(axes: Iterable[str], eta: float) -> Assemblage:
     """Noisy projective measurements along the requested Pauli axes (x, y, z order)."""
     requested = set(axes)
@@ -26,13 +31,7 @@ def pauli_set(axes: Iterable[str], eta: float) -> Assemblage:
         raise ValueError(f"unknown axes {sorted(unknown)}; choose from x, y, z")
     if not requested:
         raise ValueError("at least one axis is required")
-    return Assemblage(
-        tuple(
-            DichotomicMeasurement.noisy_projective(_AXIS_DIRECTIONS[ax], eta)
-            for ax in "xyz"
-            if ax in requested
-        )
-    )
+    return _noisy_set((_AXIS_DIRECTIONS[ax] for ax in "xyz" if ax in requested), eta)
 
 
 def planar_set(n: int, eta: float) -> Assemblage:
@@ -47,9 +46,7 @@ def planar_set(n: int, eta: float) -> Assemblage:
     dirs = [
         (math.cos(k * math.pi / n), 0.0, math.sin(k * math.pi / n)) for k in range(n)
     ]
-    return Assemblage(
-        tuple(DichotomicMeasurement.noisy_projective(d, eta) for d in dirs)
-    )
+    return _noisy_set(dirs, eta)
 
 
 # Real root of t^3 = t^2 + t + 1 (the tribonacci constant); seeding the snub
@@ -93,12 +90,7 @@ def snub_cube_set(eta: float, mirror: bool = False) -> Assemblage:
 
     mirror=True gives the same measurements up to outcome labels and order.
     """
-    return Assemblage(
-        tuple(
-            DichotomicMeasurement.noisy_projective(d, eta)
-            for d in snub_cube_directions(mirror=mirror)
-        )
-    )
+    return _noisy_set(snub_cube_directions(mirror=mirror), eta)
 
 
 def pauli_eigenstate_ensemble() -> Ensemble:

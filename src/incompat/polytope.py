@@ -332,7 +332,28 @@ def enumerate_sign_assignments(n_a: int, n_b: int) -> Iterator[SignAssignment]:
 # ---------------------------------------------------------------------------
 
 
-class PMPolytope:
+class _Adapter:
+    """Frank-Wolfe's view of a polytope: sizes, point_shape, an LMO taking M
+    flat or shaped, and vertex rows.  A subclass adds its exact oracle _exact."""
+
+    def __init__(self, scenario: str, **sizes) -> None:
+        """Keep each size as an int attribute; raise ValueError if one is below 1."""
+        vars(self).update((name, int(value)) for name, value in sizes.items())
+        if min(getattr(self, name) for name in sizes) < 1:
+            *head, last = sizes
+            got = ", ".join(f"{name}={value}" for name, value in sizes.items())
+            raise ValueError(
+                f"{scenario} scenario needs {', '.join(head)} and {last} of at least 1; got {got}"
+            )
+
+    def lmo(self, M: np.ndarray):
+        return self._exact(np.asarray(M, dtype=float).reshape(self.point_shape))
+
+    def vertex(self, strategy):
+        return strategy.row
+
+
+class PMPolytope(_Adapter):
     """LMO adapter for the PM_d behaviour polytope of a fixed scenario shape.
 
     Internally picks whichever exact enumeration is cheaper for the shape:
@@ -343,12 +364,8 @@ class PMPolytope:
     """
 
     def __init__(self, d: int, n_x: int, n_y: int) -> None:
-        self.d, self.n_x, self.n_y = int(d), int(n_x), int(n_y)
-        if min(self.d, self.n_x, self.n_y) < 1:
-            raise ValueError(
-                f"PM scenario needs d, n_x and n_y of at least 1; "
-                f"got d={d}, n_x={n_x}, n_y={n_y}"
-            )
+        super().__init__("PM", d=d, n_x=n_x, n_y=n_y)
+        self.point_shape = (self.n_x, self.n_y, 2)
         # Exact in Python ints; the bit-length test comes first, so 2^(d n_y)
         # is only built when it is no larger than d^n_x, whatever d is.
         n_g, cost_f = self.d * self.n_y, self.d**self.n_x
@@ -358,40 +375,21 @@ class PMPolytope:
         else:
             _check_budget(self.d, self.n_x, "encodings")
 
-    @property
-    def point_shape(self) -> tuple[int, ...]:
-        return (self.n_x, self.n_y, 2)
-
-    def lmo(self, M: np.ndarray) -> tuple[PMStrategy, float]:
-        M = np.asarray(M, dtype=float).reshape(self.point_shape)
+    def _exact(self, M: np.ndarray) -> tuple[PMStrategy, float]:
         if self._use_g_route:
             return _pm_lmo_over_responses(M, self.d)
         return pm_lmo(M, self.d)
 
-    def vertex(self, strategy: PMStrategy) -> np.ndarray:
-        return strategy.row
 
-
-class BellPolytope:
+class BellPolytope(_Adapter):
     """LMO adapter for the Bell full-correlator polytope."""
 
     def __init__(self, n_a: int, n_b: int) -> None:
-        self.n_a, self.n_b = int(n_a), int(n_b)
-        if min(self.n_a, self.n_b) < 1:
-            raise ValueError(
-                f"Bell scenario needs n_a and n_b of at least 1; got n_a={n_a}, n_b={n_b}"
-            )
+        super().__init__("Bell", n_a=n_a, n_b=n_b)
+        self.point_shape = (self.n_a, self.n_b)
 
-    @property
-    def point_shape(self) -> tuple[int, ...]:
-        return (self.n_a, self.n_b)
-
-    def lmo(self, M: np.ndarray) -> tuple[SignAssignment, float]:
-        M = np.asarray(M, dtype=float).reshape(self.point_shape)
+    def _exact(self, M: np.ndarray) -> tuple[SignAssignment, float]:
         return bell_lmo(M)
-
-    def vertex(self, strategy: SignAssignment) -> np.ndarray:
-        return strategy.row
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -24,11 +25,6 @@ import numpy as np
 # algebraic identities are held to the tighter ATOL_ALGEBRA.
 ATOL_VALID = 1e-10
 ATOL_ALGEBRA = 1e-12
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENT_2 = np.eye(2, dtype=complex)
 
 
 def is_json_number(x) -> bool:
@@ -333,32 +329,41 @@ def born_bell_phi_plus(
     return table
 
 
+class _OperatorList:
+    """A tuple of states or measurements behind a one-field dataclass.  A
+    subclass names the field, its member type, a member's operator, the word
+    for that operator and the message for an empty list."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, self._field, tuple(getattr(self, self._field)))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._field))
+
+    def __iter__(self):
+        return iter(getattr(self, self._field))
+
+    def __getitem__(self, idx):
+        return getattr(self, self._field)[idx]
+
+    def to_json_list(self) -> list:
+        return [m.to_json_dict() for m in self]
+
+    @classmethod
+    def from_json_list(cls, data: Sequence[dict]):
+        if not isinstance(data, list):
+            raise ValueError("expected a JSON array of operators")
+        return cls(tuple(cls._member.from_json_dict(d) for d in data))
+
+
 @dataclass(frozen=True)
-class Ensemble:
+class Ensemble(_OperatorList):
     """Ordered list of trusted preparations, indexed by Alice's input x."""
 
     states: tuple[QubitState, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def __getitem__(self, idx: int) -> QubitState:
-        return self.states[idx]
-
-    def to_json_list(self) -> list:
-        return [s.to_json_dict() for s in self.states]
-
-    @classmethod
-    def from_json_list(cls, data: Sequence[dict]) -> "Ensemble":
-        if not isinstance(data, list):
-            raise ValueError("expected a JSON array of operators")
-        return cls(tuple(QubitState.from_json_dict(d) for d in data))
+    _field, _member, _operator = "states", QubitState, attrgetter("op")
+    _what, _empty = "state", "ensemble has no states"
 
     @classmethod
     def from_bloch_vectors(cls, vectors: Iterable[Iterable[float]]) -> "Ensemble":
@@ -366,35 +371,17 @@ class Ensemble:
 
 
 @dataclass(frozen=True)
-class Assemblage:
+class Assemblage(_OperatorList):
     """Ordered list of dichotomic measurements, indexed by Bob's input y."""
 
     measurements: tuple[DichotomicMeasurement, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "measurements", tuple(self.measurements))
-
-    def __len__(self) -> int:
-        return len(self.measurements)
-
-    def __iter__(self):
-        return iter(self.measurements)
-
-    def __getitem__(self, idx: int) -> DichotomicMeasurement:
-        return self.measurements[idx]
+    _field, _member, _operator = "measurements", DichotomicMeasurement, attrgetter("effect0")
+    _what, _empty = "effect", "assemblage has no measurements"
 
     @property
     def all_unbiased(self) -> bool:
         return all(m.is_unbiased for m in self.measurements)
-
-    def to_json_list(self) -> list:
-        return [m.to_json_dict() for m in self.measurements]
-
-    @classmethod
-    def from_json_list(cls, data: Sequence[dict]) -> "Assemblage":
-        if not isinstance(data, list):
-            raise ValueError("expected a JSON array of operators")
-        return cls(tuple(DichotomicMeasurement.from_json_dict(d) for d in data))
 
 
 def _check_operator(op: QubitOperator, name: str, is_state: bool) -> None:
@@ -418,16 +405,12 @@ def _check_operator(op: QubitOperator, name: str, is_state: bool) -> None:
 def validate(obj: Union[Ensemble, Assemblage]) -> None:
     """Raise ValueError naming the first invalid state or effect of obj (or its
     emptiness); return None when obj is valid, every invariant held to 1e-10."""
-    if isinstance(obj, Ensemble):
-        ops, name, empty = [rho.op for rho in obj], "state", "ensemble has no states"
-    elif isinstance(obj, Assemblage):
-        ops, name, empty = [m.effect0 for m in obj], "effect", "assemblage has no measurements"
-    else:
+    if not isinstance(obj, _OperatorList):
         raise TypeError(f"validate expects Ensemble or Assemblage, got {type(obj)!r}")
-    if not ops:
-        raise ValueError(empty)
-    for idx, op in enumerate(ops):
-        _check_operator(op, f"{name} {idx}", name == "state")
+    if not len(obj):
+        raise ValueError(obj._empty)
+    for idx, member in enumerate(obj):
+        _check_operator(obj._operator(member), f"{obj._what} {idx}", obj._what == "state")
 
 
 def check_unbiased(measurements: Iterable[DichotomicMeasurement], purpose: str) -> None:

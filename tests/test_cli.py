@@ -500,6 +500,22 @@ class TestInvalidContent:
             "the PM-Bell transfer needs tr(B_y) = 0\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, option, message",
+        [
+            ("jm-check", "--assemblage", "assemblage has no measurements"),
+            ("pm-membership", "--ensemble", "ensemble has no states"),
+        ],
+    )
+    def test_empty_list(self, pauli_triple_075, tmp_path, capsys, command, option, message):
+        path = write_json(tmp_path / "empty.json", [])
+        argv = [command, option, path]
+        if command == "pm-membership":
+            argv += ["--assemblage", pauli_triple_075, "--dim", "2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"incompat: error: {path}: {message}\n"
+
     @pytest.mark.parametrize("s", [0.4, 0.6])
     def test_state_with_trace_other_than_one(self, pauli_triple_075, tmp_path, capsys, s):
         path = write_json(tmp_path / "e.json", [{"s": s, "v": [0.0, 0.0, 0.1]}])

@@ -11,7 +11,7 @@ from incompat.gallery import (
     snub_cube_directions,
     snub_cube_set,
 )
-from incompat.qcore import validate
+from incompat.qcore import DichotomicMeasurement, validate
 
 
 class TestPauliSet:
@@ -102,6 +102,38 @@ class TestSnubCube:
         assert validate(snub_cube_set(1.0)) is None
         assert validate(snub_cube_set(0.4, mirror=True)) is None
         assert len(snub_cube_set(1.0)) == 24
+
+
+class TestDirectConstruction:
+    """Each builder gives exactly the measurements built one by one."""
+
+    @pytest.mark.parametrize(
+        "build, directions, eta",
+        [
+            (lambda: pauli_set("zx", 0.75), [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)], 0.75),
+            (lambda: pauli_set("xyz", 1.0), np.eye(3), 1.0),
+            (
+                lambda: planar_set(5, 0.7),
+                [(math.cos(k * math.pi / 5), 0.0, math.sin(k * math.pi / 5)) for k in range(5)],
+                0.7,
+            ),
+            (lambda: snub_cube_set(0.9), snub_cube_directions(), 0.9),
+            (lambda: snub_cube_set(0.9, mirror=True), snub_cube_directions(mirror=True), 0.9),
+        ],
+    )
+    def test_bit_identical_to_one_by_one(self, build, directions, eta):
+        built = build()
+        direct = [DichotomicMeasurement.noisy_projective(d, eta) for d in directions]
+        assert len(built) == len(direct)
+        for m, ref in zip(built, direct):
+            assert m.effect0.s == ref.effect0.s
+            assert (m.effect0.v == ref.effect0.v).all()
+
+    def test_pauli_axes_are_checked_before_the_visibility(self):
+        with pytest.raises(ValueError, match="unknown axes"):
+            pauli_set("xw", 1.5)
+        with pytest.raises(ValueError, match="at least one axis"):
+            pauli_set("", 1.5)
 
 
 class TestEigenstateEnsemble:

@@ -88,7 +88,10 @@ class TestPMOracle:
     @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 2), (2, 3, 0), (-2, 6, 3), (1, -1, 1)])
     def test_polytope_rejects_a_scenario_below_one(self, shape):
         d, n_x, n_y = shape
-        with pytest.raises(ValueError, match=f"d={d}, n_x={n_x}, n_y={n_y}"):
+        message = (
+            f"^PM scenario needs d, n_x and n_y of at least 1; got d={d}, n_x={n_x}, n_y={n_y}$"
+        )
+        with pytest.raises(ValueError, match=message):
             PMPolytope(d, n_x, n_y)
 
 
@@ -136,6 +139,19 @@ class TestBellOracle:
         n_a, n_b = shape
         with pytest.raises(ValueError, match=f"^Bell scenario .*; got n_a={n_a}, n_b={n_b}$"):
             BellPolytope(n_a, n_b)
+
+
+class TestAdapters:
+    @pytest.mark.parametrize(
+        "poly",
+        [PMPolytope(2, 3, 2), PMPolytope(3, 4, 1), PMPolytope(2, 1, 3), BellPolytope(2, 3)],
+    )
+    def test_lmo_takes_m_flat_or_shaped(self, poly):
+        M = np.random.default_rng(34).normal(size=poly.point_shape)
+        strategy, value = poly.lmo(M)
+        assert poly.lmo(M.ravel()) == (strategy, value)
+        assert poly.lmo(M.tolist()) == (strategy, value)
+        assert poly.vertex(strategy) is strategy.row
 
 
 class TestOneBudget:

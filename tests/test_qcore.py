@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,35 @@ class TestValidate:
         with pytest.raises(ValueError, match=f"^{message}$"):
             validate(obj)
 
+    def test_other_objects_are_a_type_error(self):
+        message = "validate expects Ensemble or Assemblage, got <class 'list'>"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            validate([QubitState.maximally_mixed()])
+
+
+class TestOperatorLists:
+    @pytest.mark.parametrize(
+        "cls, field, members",
+        [
+            (Ensemble, "states", [QubitState.pure((1, 0, 0)), QubitState.maximally_mixed()]),
+            (
+                Assemblage,
+                "measurements",
+                [DichotomicMeasurement.projective((0, 0, 1)), DichotomicMeasurement.trivial()],
+            ),
+        ],
+    )
+    def test_a_tuple_behind_the_sequence_protocol(self, cls, field, members):
+        from_list, from_generator = cls(members), cls(m for m in members)
+        for obj in (from_list, from_generator):
+            assert getattr(obj, field) == tuple(members)
+            assert type(getattr(obj, field)) is tuple
+            assert len(obj) == 2 and list(obj) == members
+            assert obj[0] is members[0] and obj[-1] is members[1]
+            assert obj[:1] == (members[0],)
+        assert from_list == from_generator
+        assert repr(from_list).startswith(f"{cls.__name__}({field}=(")
+
 
 class TestJsonRoundTrips:
     def test_operator(self):
@@ -225,13 +255,19 @@ class TestJsonRoundTrips:
 
     def test_ensemble_and_assemblage(self):
         e = Ensemble.from_bloch_vectors([(0.3, 0.1, -0.2), (0, 0, 1)])
-        e2 = Ensemble.from_json_list(e.to_json_list())
-        assert all(a.op.isclose(b.op) for a, b in zip(e, e2))
         a = Assemblage(
-            (DichotomicMeasurement.noisy_projective((1, 0, 0), 0.8),)
+            (
+                DichotomicMeasurement.noisy_projective((1, 0, 0), 0.8),
+                DichotomicMeasurement(QubitOperator(0.6, (0.1, -0.3, 1 / 3))),
+            )
         )
-        a2 = Assemblage.from_json_list(a.to_json_list())
-        assert a2[0].effect0.isclose(a[0].effect0)
+        for obj, operator in ((e, lambda m: m.op), (a, lambda m: m.effect0)):
+            back = type(obj).from_json_list(obj.to_json_list())
+            assert type(back) is type(obj) and len(back) == len(obj)
+            for m, b in zip(obj, back):
+                assert operator(b).s == operator(m).s
+                assert (operator(b).v == operator(m).v).all()
+            assert back.to_json_list() == obj.to_json_list()
 
     def test_two_qubit_operator(self):
         phi = max_entangled_2()
