@@ -85,12 +85,13 @@ def check_correlator_equality(e: Ensemble, a: Assemblage) -> float:
     check_unbiased(a, "the PM-Bell transfer needs tr(B_y) = 0")
     doubled = double_ensemble(e)
     p_vals = pm_correlators(doubled, a).values
-    alice = states_to_measurements(doubled)
-    c_vals = np.empty_like(p_vals)
-    for x, ma in enumerate(alice):
-        for y, mb in enumerate(a):
-            c_vals[x, y] = phi_plus_correlator(ma.observable, mb.observable)
+    c_vals = _phi_plus_table(states_to_measurements(doubled), a)
     return float(np.max(np.abs(c_vals - p_vals)))
+
+
+def _phi_plus_table(alice: Assemblage, bob: Assemblage) -> np.ndarray:
+    """Closed-form phi+ correlators <A_x (x) B_y>, Alice's settings as rows."""
+    return np.array([[phi_plus_correlator(a.observable, b.observable) for b in bob] for a in alice])
 
 
 def _antisymmetrize(M: np.ndarray) -> np.ndarray:
@@ -105,11 +106,6 @@ def _antisymmetrize(M: np.ndarray) -> np.ndarray:
     n = M.shape[0] // 2
     top = (M[:n] - M[n:]) / 2.0
     return np.vstack([top, -top])
-
-
-def _embed_correlator_witness(W: np.ndarray) -> np.ndarray:
-    """Behaviour-space coefficients whose strategy values equal sum W_xy P_xy."""
-    return np.stack([W, -W], axis=-1)
 
 
 def _correlator_witness(witness: Witness) -> Witness:
@@ -128,13 +124,14 @@ def map_pm_witness_to_bell(witness: Witness) -> Witness:
 
     The coefficient matrix transfers unchanged (after antisymmetrisation,
     which is exact on doubled points).  The local bound is computed exactly
-    by sign enumeration and must match the two-message PM bound of the same
-    coefficients from PMPolytope.lmo: a mismatch would mean one of the
-    oracles is broken, so it raises rather than returning.
+    by sign enumeration and must match the two-message PM bound of the
+    outcome coefficients (M, -M) from PMPolytope.lmo: a mismatch would mean
+    one of the oracles is broken, so it raises.  On M = [T; -T] the bound
+    is twice T's.
     """
     M = _antisymmetrize(np.asarray(witness.M, dtype=float))
     _, l_bell = bell_lmo(M)
-    _, l_pm = PMPolytope(2, *M.shape).lmo(_embed_correlator_witness(M))
+    _, l_pm = PMPolytope(2, *M.shape).lmo(np.stack([M, -M], axis=-1))
     if abs(l_bell - l_pm) > WITNESS_TRANSFER_TOL:
         raise AssertionError(
             f"oracle bounds disagree: bell {l_bell!r} vs pm {l_pm!r}"
@@ -199,27 +196,25 @@ class CertificationReport:
 
 
 def _undoubled_bell_certificate(
-    M_doubled: np.ndarray, e: Ensemble, a: Assemblage
+    witness: Witness, e: Ensemble, a: Assemblage
 ) -> BellCertificate:
-    """Reduce the doubled witness to the physical scenario and normalise L to 2.
+    """Reduce the transferred witness to the physical scenario and normalise L to 2.
 
-    The top half of the antisymmetric doubled witness acts on the original
-    states of e, whose transposes become Alice's measurements.
+    The top half T of [T; -T] acts on the states of e, whose transposes are
+    Alice's measurements.  T's bound is L / 2, so T is scaled by 4 / L; the
+    one enumeration, on the result, checks the rescale and that identity.
     """
-    top = M_doubled[: len(e)]
-    _, l_top = bell_lmo(top)
-    if l_top <= 0.0:
+    if witness.L <= 0.0:
         raise AssertionError("degenerate Bell witness: nonpositive local bound")
-    coeff = (2.0 / l_top) * top
+    coeff = (4.0 / witness.L) * witness.M[: len(e)]
     _, l_check = bell_lmo(coeff)
     if abs(l_check - 2.0) > WITNESS_TRANSFER_TOL:
         raise AssertionError("local bound did not rescale to 2")
 
     alice = states_to_measurements(e)
     q_corr = 0.0
-    for x, ma in enumerate(alice):
-        for y, mb in enumerate(a):
-            q_corr += coeff[x, y] * phi_plus_correlator(ma.observable, mb.observable)
+    for term in (coeff * _phi_plus_table(alice, a)).flat:
+        q_corr += term
     dense = to_correlators(bell_behavior_phi_plus(alice, a)).values
     q_born = float(np.sum(coeff * dense))
     if abs(q_corr - q_born) > 1e-9:
@@ -258,7 +253,7 @@ def certify_incompatibility(a: Assemblage, e: Ensemble, d: int) -> Certification
         pm_witness = _correlator_witness(verdict.witness)
         if d == 2 and a.all_unbiased:
             bell_witness = map_pm_witness_to_bell(pm_witness)
-            bell_cert = _undoubled_bell_certificate(bell_witness.M, e, a)
+            bell_cert = _undoubled_bell_certificate(bell_witness, e, a)
             notes.append(
                 "outside the two-message polytope: the assemblage is not jointly "
                 "measurable, and the attached Bell inequality is violated on the "
@@ -366,10 +361,10 @@ def seesaw_ensemble_search(
         n_states = len(initial)
     else:
         current = _random_pure_ensemble(n_states, rng)
-    first = current
+    seeded = Ensemble(tuple(QubitState.pure(s) for s in _diagonal_seeds(a, n_states)))
     oracle = PMPolytope(d, n_states, len(a))
     best_gap = 0.0
-    best_ensemble: Ensemble | None = None
+    best_ensemble = current
     restart_count = 0
     warm: tuple = ()
     verdicts: dict[bytes, MembershipVerdict] = {}
@@ -390,13 +385,10 @@ def seesaw_ensemble_search(
         else:
             warm = ()
             if restart_count % 2 == 0:
-                seeds = _diagonal_seeds(a, n_states)
-                current = Ensemble(tuple(QubitState.pure(s) for s in seeds))
+                current = seeded
             else:
                 current = _random_pure_ensemble(n_states, rng)
             restart_count += 1
-    if best_ensemble is None:
-        return first, 0.0
     return best_ensemble, best_gap
 
 

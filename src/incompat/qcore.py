@@ -103,6 +103,15 @@ class QubitOperator:
 
     __rmul__ = __mul__
 
+    def __eq__(self, other: object) -> bool:
+        """Exact equality of s and every entry of v, so -0.0 equals 0.0."""
+        if not isinstance(other, QubitOperator):
+            return NotImplemented
+        return self.s == other.s and bool(np.array_equal(self.v, other.v))
+
+    def __hash__(self) -> int:
+        return hash((self.s, *self.v.tolist()))
+
     def isclose(self, other: "QubitOperator", atol: float = ATOL_ALGEBRA) -> bool:
         return abs(self.s - other.s) <= atol and bool(
             np.all(np.abs(self.v - other.v) <= atol)

@@ -123,6 +123,17 @@ class TestCorrelatorConversions:
         rebuilt = from_correlators(to_correlators(table))
         assert np.allclose(rebuilt.data, table.data, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [(BehaviorTable("pm", np.full((1, 1, 3), 1 / 3)), "single correlators need dichotomic outcomes"),
+         (BehaviorTable("bell", np.full((1, 1, 2, 3), 1 / 6)),
+          "full correlators need dichotomic outcomes on both sides")],
+        ids=["pm_three_outcomes", "bell_two_by_three"],
+    )
+    def test_needs_dichotomic_outcomes(self, table, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            to_correlators(table)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             from_correlators(CorrelatorTable("single", np.array([[1.5]])))

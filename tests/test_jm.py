@@ -325,13 +325,22 @@ class TestGapWitness:
             value = exact_value(bad, a)
             assert value is None or value >= 0
 
+    def test_wrong_operator_count_or_infinite_coefficient_fails_verification(self):
+        a = pauli_set("xyz", 0.58)
+        witness = jm_feasibility(a).witness
+        assert witness.verify(a)
+        for bad in (
+            JMWitness(witness.z, witness.f[:-1], witness.value),
+            JMWitness(witness.z, (*witness.f, witness.f[0]), witness.value),
+            JMWitness(QubitOperator(math.inf, witness.z.v), witness.f, witness.value),
+        ):
+            assert bad.verify(a) is False
+
     def test_json_round_trip(self):
         a = near_orthogonal(1, 0.64)
         witness = jm_feasibility(a).witness
         back = JMWitness.from_json_dict(json.loads(json.dumps(witness.to_json_dict())))
-        assert back.value == witness.value
-        for u, w in zip((back.z, *back.f), (witness.z, *witness.f)):
-            assert u.s == w.s and np.array_equal(u.v, w.v)
+        assert back == witness
         assert back.verify(a) and certifies(back, a)
 
     def test_jm_check_reports_a_witness_that_reverifies(self, tmp_path, capsys):

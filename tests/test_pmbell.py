@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from incompat import pmbell
-from incompat.correlations import pm_behavior, pm_correlators
+from incompat.correlations import phi_plus_correlator, pm_behavior, pm_correlators
 from incompat.gallery import pauli_eigenstate_ensemble, pauli_set
 from incompat.pmbell import (
     certify_incompatibility,
@@ -159,6 +159,17 @@ class TestWitnessTransfer:
         with pytest.raises(ValueError):
             map_pm_witness_to_bell(Witness(np.zeros((3, 2)), 0.0, 0.0))
 
+    def test_doubled_sign_bound_is_twice_the_top_bound(self):
+        # alpha_(x+N) = -alpha_x attains the bound of [T; -T], so the Bell
+        # certificate can read T's bound off the transferred one
+        rng = np.random.default_rng(16)
+        for _ in range(60):
+            n_a = int(rng.integers(1, 5))
+            n_b = int(rng.integers(1, 4))
+            top = rng.normal(size=(n_a, n_b))
+            _, l_doubled = bell_lmo(np.vstack([top, -top]))
+            assert l_doubled == pytest.approx(2 * bell_lmo(top)[1], rel=1e-12, abs=0.0)
+
 
 class TestCertification:
     def test_pauli_triple_above_threshold(self):
@@ -173,6 +184,33 @@ class TestCertification:
             report.bell.quantum_value, abs=1e-9
         )
         assert any("not jointly measurable" in note for note in report.notes)
+
+    def test_outside_certificate_enumerates_signs_twice(self, monkeypatch):
+        # one bound in the transfer, one on the emitted coefficients
+        calls = []
+
+        def counting_bell_lmo(M):
+            calls.append(np.shape(M))
+            return bell_lmo(M)
+
+        monkeypatch.setattr(pmbell, "bell_lmo", counting_bell_lmo)
+        report = certify_incompatibility(pauli_set("xyz", 0.75), diagonal_ensemble(), 2)
+        assert report.bell is not None
+        assert calls == [(4, 3), (2, 3)]
+
+    def test_quantum_value_is_the_per_pair_sum_in_row_major_order(self):
+        rng = np.random.default_rng(37)
+        a = Assemblage(
+            tuple(DichotomicMeasurement.noisy_projective(d, 0.9) for d in rng.normal(size=(4, 3)))
+        )
+        e = Ensemble(tuple(QubitState.pure(v) for v in rng.normal(size=(6, 3))))
+        bell = certify_incompatibility(a, e, 2).bell
+        assert bell is not None
+        q = 0.0
+        for x, ma in enumerate(bell.alice):
+            for y, mb in enumerate(a):
+                q += bell.coefficients[x, y] * phi_plus_correlator(ma.observable, mb.observable)
+        assert bell.quantum_value == q
 
     def test_pauli_triple_below_threshold(self):
         report = certify_incompatibility(pauli_set("xyz", 0.70), diagonal_ensemble(), 2)
@@ -385,9 +423,6 @@ class TestClimb:
             witness = Witness(M, 0.0, 1.0)
             climbed = pmbell._climb(e, witness, a)
             reference = _climb_per_state(e, witness, a)
-            assert len(climbed) == n_x
-            for rho, ref in zip(climbed, reference):
-                assert rho.op.s == ref.op.s
-                assert np.array_equal(rho.op.v, ref.op.v)
+            assert len(climbed) == n_x and climbed == reference
             if k % 3 == 0:
                 assert climbed[0] is e[0]

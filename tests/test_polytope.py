@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -615,6 +616,16 @@ class TestBruteForce:
         with pytest.raises(EnumerationBudgetError):
             brute_force_membership(np.zeros(2), verts)
 
+    def test_inside_report_lists_the_vertex_rows(self):
+        verdict = brute_force_membership([0.5, 0.5], [[1, 0], [0, 1]])
+        assert verdict.to_json_dict() == {
+            "verdict": "inside",
+            "iterations": 1,
+            "vertices": [[1.0, 0.0], [0.0, 1.0]],
+            "weights": [0.5, 0.5],
+            "reconstruction_error": 0.0,
+        }
+
     def test_verdicts_carry_no_termination(self):
         verts = np.array([s.vector().ravel() for s in enumerate_sign_assignments(2, 2)])
         assert brute_force_membership(verts[0], verts).termination is None
@@ -864,6 +875,24 @@ class TestPersistentCorral:
         verdict = fw_membership(pm_behavior(e, a).data, PMPolytope(3, 6, 16), max_iter=4000)
         assert verdict.is_inside
         assert len(fresh_solve_check) > 300 and max(fresh_solve_check) > 90
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda: pm_lmo(np.zeros((2, 2)), 2),
+          "coefficient array must have shape (n_x, n_y, 2), got (2, 2)"),
+         (lambda: pm_lmo(np.zeros((2, 1, 2)), 0), "message dimension must be positive"),
+         (lambda: bell_lmo(np.zeros(3)), "coefficient matrix must be 2-d, got shape (3,)"),
+         (lambda: fw_membership(np.zeros(5), BellPolytope(2, 2)),
+          "point has 5 entries but the oracle expects 4"),
+         (lambda: brute_force_membership(np.zeros(3), np.eye(2)),
+          "point dimension does not match vertex dimension")],
+        ids=["pm_lmo_shape", "pm_lmo_dimension", "bell_lmo_shape", "fw_point", "brute_force_point"],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestFWArguments:

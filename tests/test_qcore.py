@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incompat.jm import noisy_pauli_triple_jm
+from incompat.gallery import pauli_eigenstate_ensemble, pauli_set
+from incompat.jm import mother_povm_xz, noisy_pauli_triple_jm
 from incompat.qcore import (
     Assemblage,
     DichotomicMeasurement,
@@ -298,6 +299,51 @@ class TestNoisyProjective:
         ):
             with pytest.raises(ValueError, match=message):
                 call()
+
+
+class TestValueEquality:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: QubitOperator(0.5, (0, 0, 0.1)), lambda: QubitState.pure((1, 2, 3)),
+         lambda: DichotomicMeasurement.noisy_projective((0, 1, 1), 0.7),
+         pauli_eigenstate_ensemble, lambda: pauli_set("xz", 0.5), lambda: mother_povm_xz(0.6)],
+        ids=["operator", "state", "measurement", "ensemble", "assemblage", "mother"],
+    )
+    def test_equal_builders_compare_and_hash_equal(self, build):
+        first, second = build(), build()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+
+    def test_one_ulp_in_s_or_in_one_entry_of_v_is_unequal(self):
+        op = QubitOperator(0.5, (0.1, 0.2, 0.3))
+        assert op != QubitOperator(math.nextafter(0.5, 1.0), op.v)
+        for i in range(3):
+            v = op.v.copy()
+            v[i] = math.nextafter(v[i], 1.0)
+            assert op != QubitOperator(op.s, v)
+            assert Ensemble((QubitState(op),)) != Ensemble((QubitState(QubitOperator(op.s, v)),))
+
+    def test_signed_zeros_compare_and_hash_alike(self):
+        negative, positive = QubitOperator(0.5, (-0.0, 0, 0)), QubitOperator(0.5, (0.0, 0, 0))
+        assert negative == positive and hash(negative) == hash(positive)
+        assert len({negative, positive}) == 1
+
+    def test_another_type_is_unequal(self):
+        assert QubitOperator.identity() != (1.0, 0.0, 0.0, 0.0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda: QubitOperator(0.5, (0, 0)), "expected a real 3-vector, got shape (2,)"),
+         (lambda: QubitState.pure((0, 0, 0)), "pure state needs a nonzero direction"),
+         (lambda: DichotomicMeasurement.noisy_projective((0, 0, 0), 0.5),
+          "projective measurement needs a nonzero direction")],
+        ids=["short_vector", "pure_state", "noisy_projective"],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestJsonFormat:
