@@ -23,27 +23,28 @@ from .qcore import (
     Ensemble,
     PHI_PLUS_VEC,
     QubitOperator,
+    _Record,
+    frozen,
     is_json_numbers,
     trace_product,
     transpose,
 )
 
 
-@dataclass(frozen=True)
-class _Table:
+@dataclass(frozen=True, eq=False)
+class _Table(_Record):
     """Read-only float array of a kind in _KINDS (kind -> axes), named _NAME."""
 
     kind: str
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
+        if not (isinstance(self.kind, str) and self.kind in self._KINDS):
             kinds = " or ".join(repr(k) for k in self._KINDS)
             raise ValueError(f"kind must be {kinds}, got {self.kind!r}")
-        arr = np.asarray(self.data, dtype=float).copy()
+        arr = frozen(self.data)
         if arr.ndim != (n := self._KINDS[self.kind]):
             raise ValueError(f"{self.kind} table needs {n} axes, got {arr.ndim}")
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @property
@@ -71,7 +72,7 @@ class _Table:
         return cls(data["kind"], np.asarray(data["data"], dtype=float).reshape(data["shape"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BehaviorTable(_Table):
     """Conditional probability table.
 
@@ -95,7 +96,7 @@ class BehaviorTable(_Table):
             raise ValueError("behaviour table is not normalised per (x, y) cell")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelatorTable(_Table):
     """Matrix of expectation values in [-1, 1], kind 'single' (PM) or 'full' (Bell)."""
 

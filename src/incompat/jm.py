@@ -37,6 +37,7 @@ from .qcore import (
     Assemblage,
     DichotomicMeasurement,
     QubitOperator,
+    _Record,
     check_unbiased,
     check_visibility,
     is_json_number,
@@ -61,7 +62,7 @@ def _targets(a) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MotherPOVM:
+class MotherPOVM(_Record):
     """Parent measurement plus the deterministic response table.
 
     responses[k][y] is the outcome assigned to measurement y when the parent
@@ -118,12 +119,6 @@ class MotherPOVM:
             and float(np.max(self._residual(a))) <= tol
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "effects": [e.to_json_dict() for e in self.effects],
-            "responses": [list(r) for r in self.responses],
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "MotherPOVM":
         """Decode ``{"effects": [operators], "responses": [[0 or 1, ..]]}``; else ValueError."""
@@ -173,7 +168,7 @@ def _exact_witness_check(
 
 
 @dataclass(frozen=True)
-class JMWitness:
+class JMWitness(_Record):
     """Farkas certificate that no mother POVM reproduces an assemblage.
 
     One Hermitian operator per affine constraint of the mother search: z for
@@ -192,13 +187,6 @@ class JMWitness:
         """Exact re-check that the witness proves a incompatible."""
         return _exact_witness_check((self.z, *self.f), a)[0]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "z": self.z.to_json_dict(),
-            "f": [op.to_json_dict() for op in self.f],
-            "value": self.value,
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "JMWitness":
         """Decode ``{"z": operator, "f": [operators], "value": number}``; else ValueError."""
@@ -216,7 +204,7 @@ class JMWitness:
 
 
 @dataclass(frozen=True)
-class JMVerdict:
+class JMVerdict(_Record):
     """Outcome of a joint-measurability decision.
 
     status is one of "jm" (with a verified mother POVM), "not_jm" (with the
@@ -245,7 +233,7 @@ class JMVerdict:
         for key in ("mother", "witness", "reason", "residual", "iterations", "pair",
                     "margin", "visibility"):
             if (value := getattr(self, key)) is not None:
-                out[key] = value.to_json_dict() if key in ("mother", "witness") else value
+                out[key] = self._json(value)
         return out
 
 

@@ -42,6 +42,7 @@ from .qcore import (
     DichotomicMeasurement,
     Ensemble,
     QubitState,
+    _Record,
     check_unbiased,
     transpose,
     validate,
@@ -139,8 +140,8 @@ def map_pm_witness_to_bell(witness: Witness) -> Witness:
     return Witness(M, l_bell, witness.Q)
 
 
-@dataclass(frozen=True)
-class BellCertificate:
+@dataclass(frozen=True, eq=False)
+class BellCertificate(_Record):
     """Violated correlator inequality on the physical (undoubled) Bell scenario.
 
     Coefficients are rescaled so the local bound is exactly 2, the CHSH
@@ -166,7 +167,7 @@ class BellCertificate:
 
 
 @dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(_Record):
     """Everything produced by one certification run, JSON-serialisable."""
 
     d: int
@@ -213,7 +214,7 @@ def _undoubled_bell_certificate(
 
     alice = states_to_measurements(e)
     q_corr = 0.0
-    for term in (coeff * _phi_plus_table(alice, a)).flat:
+    for term in (coeff * _phi_plus_table(alice, a)).ravel().tolist():
         q_corr += term
     dense = to_correlators(bell_behavior_phi_plus(alice, a)).values
     q_born = float(np.sum(coeff * dense))
@@ -221,7 +222,7 @@ def _undoubled_bell_certificate(
         raise AssertionError(
             f"correlator and Born-rule values disagree: {q_corr!r} vs {q_born!r}"
         )
-    return BellCertificate(coeff, float(l_check), float(q_corr), q_born, alice)
+    return BellCertificate(coeff, l_check, q_corr, q_born, alice)
 
 
 def certify_incompatibility(a: Assemblage, e: Ensemble, d: int) -> CertificationReport:

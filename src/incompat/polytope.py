@@ -30,6 +30,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .qcore import _Record, frozen
+
 DEFAULT_ORACLE_BUDGET = 10_000_000
 DEFAULT_VERTEX_BUDGET = 10_000
 _ONE_HOT = np.eye(2)  # row b one-hot encodes the response bit b
@@ -48,7 +50,7 @@ def _row(strategy) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PMStrategy:
+class PMStrategy(_Record):
     """Deterministic PM strategy: message f[x] in 0..d-1, response g[a][y] in {0,1}."""
 
     f: tuple[int, ...]
@@ -59,12 +61,9 @@ class PMStrategy:
         """Behaviour array v[x, y, b] = 1 when g[f[x]][y] == b."""
         return _ONE_HOT[np.asarray(self.g)[list(self.f)]]
 
-    def to_json_dict(self) -> dict:
-        return {"f": list(self.f), "g": [list(row) for row in self.g]}
-
 
 @dataclass(frozen=True)
-class SignAssignment:
+class SignAssignment(_Record):
     """Deterministic full-correlator vertex C_xy = alpha_x * beta_y."""
 
     alpha: tuple[int, ...]
@@ -74,12 +73,9 @@ class SignAssignment:
     def vector(self) -> np.ndarray:
         return np.outer(self.alpha, self.beta).astype(float)
 
-    def to_json_dict(self) -> dict:
-        return {"alpha": list(self.alpha), "beta": list(self.beta)}
 
-
-@dataclass(frozen=True)
-class Witness:
+@dataclass(frozen=True, eq=False)
+class Witness(_Record):
     """Separating hyperplane: coefficients M, classical bound L, achieved Q > L."""
 
     M: np.ndarray
@@ -87,9 +83,7 @@ class Witness:
     Q: float
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.M, dtype=float).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "M", arr)
+        object.__setattr__(self, "M", frozen(self.M))
         object.__setattr__(self, "L", float(self.L))
         object.__setattr__(self, "Q", float(self.Q))
 
@@ -97,16 +91,9 @@ class Witness:
     def violation(self) -> float:
         return self.Q - self.L
 
-    def to_json_dict(self) -> dict:
-        return {
-            "M": self.M.tolist(),
-            "L": self.L,
-            "Q": self.Q,
-        }
 
-
-@dataclass(frozen=True)
-class MembershipVerdict:
+@dataclass(frozen=True, eq=False)
+class MembershipVerdict(_Record):
     """Inside with a convex decomposition, Outside with a witness, or Undecided.
 
     Inside verdicts carry their weights over the active vertices: strategy

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
@@ -45,6 +45,44 @@ def check_visibility(eta: float) -> None:
         raise ValueError(f"visibility must lie in [0, 1], got {eta}")
 
 
+def frozen(x, dtype=float) -> np.ndarray:
+    """A read-only copy of x as an array of dtype."""
+    arr = np.array(x, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+class _Record:
+    """Base of the frozen dataclass records.  A record with an array field is
+    declared eq=False and compares and hashes here, each array by its shape
+    and entries (so -0.0 equals 0.0); the others keep the dataclass's faster
+    methods.  to_json_dict maps each field name to its value (see _json)."""
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(
+            (v.shape, *v.ravel().tolist()) if isinstance(v, np.ndarray) else v for v in values
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def to_json_dict(self) -> dict:
+        return {f.name: self._json(getattr(self, f.name)) for f in fields(self)}
+
+    @staticmethod
+    def _json(value):
+        """Arrays and tuples as lists, records as dicts, anything else as it is."""
+        if isinstance(value, _Record):
+            return value.to_json_dict()
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        return [_Record._json(v) for v in value] if isinstance(value, tuple) else value
+
+
 def _as_vec3(v: Iterable[float]) -> np.ndarray:
     arr = np.asarray(tuple(v), dtype=float)
     if arr.shape != (3,):
@@ -52,8 +90,8 @@ def _as_vec3(v: Iterable[float]) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class QubitOperator:
+@dataclass(frozen=True, eq=False)
+class QubitOperator(_Record):
     """Hermitian 2x2 operator ``s*I + v[0]*sx + v[1]*sy + v[2]*sz``.
 
     Hermiticity is structural: ``s`` and ``v`` are real by construction.
@@ -65,9 +103,7 @@ class QubitOperator:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", float(self.s))
-        vec = _as_vec3(self.v).copy()
-        vec.setflags(write=False)
-        object.__setattr__(self, "v", vec)
+        object.__setattr__(self, "v", frozen(_as_vec3(self.v)))
 
     @property
     def vnorm(self) -> float:
@@ -103,22 +139,10 @@ class QubitOperator:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        """Exact equality of s and every entry of v, so -0.0 equals 0.0."""
-        if not isinstance(other, QubitOperator):
-            return NotImplemented
-        return self.s == other.s and bool(np.array_equal(self.v, other.v))
-
-    def __hash__(self) -> int:
-        return hash((self.s, *self.v.tolist()))
-
     def isclose(self, other: "QubitOperator", atol: float = ATOL_ALGEBRA) -> bool:
         return abs(self.s - other.s) <= atol and bool(
             np.all(np.abs(self.v - other.v) <= atol)
         )
-
-    def to_json_dict(self) -> dict:
-        return {"s": self.s, "v": [float(c) for c in self.v]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QubitOperator":
@@ -163,7 +187,7 @@ def transpose(op: QubitOperator) -> QubitOperator:
 
 
 @dataclass(frozen=True)
-class QubitState:
+class QubitState(_Record):
     """Density operator; ``op`` must have s = 1/2 and |v| <= 1/2 to be valid."""
 
     op: QubitOperator
@@ -207,7 +231,7 @@ class QubitState:
 
 
 @dataclass(frozen=True)
-class DichotomicMeasurement:
+class DichotomicMeasurement(_Record):
     """Two-outcome POVM stored through its first effect; effect1 = I - effect0."""
 
     effect0: QubitOperator
@@ -274,8 +298,8 @@ def born_pm(rho: QubitState, m: DichotomicMeasurement) -> tuple[float, float]:
     return (p0, 1.0 - p0)
 
 
-@dataclass(frozen=True)
-class TwoQubitOperator:
+@dataclass(frozen=True, eq=False)
+class TwoQubitOperator(_Record):
     """Dense 4x4 Hermitian operator on C^2 (x) C^2."""
 
     matrix: np.ndarray
@@ -286,9 +310,7 @@ class TwoQubitOperator:
             raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
         if np.max(np.abs(mat - mat.conj().T)) > ATOL_ALGEBRA:
             raise ValueError("matrix is not Hermitian within 1e-12")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", frozen(mat, complex))
 
     def norm(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from incompat import chsh
 from incompat.chsh import (
     bell_jm_certified,
     chsh_norm_bound,
@@ -149,6 +151,14 @@ class TestAttainability:
         else:
             with pytest.raises(ValueError, match="B0 must be traceless"):
                 optimal_alice_settings(m0.observable, m1.observable)
+
+    def test_attained_value_must_match_the_norm_bound(self, monkeypatch):
+        b0, b1 = QubitOperator.pauli("x"), QubitOperator.pauli("z")
+        value = optimal_alice_settings(b0, b1)[2]
+        monkeypatch.setattr(chsh, "chsh_norm_bound", lambda b0, b1: 0.0)
+        message = f"attained value {value!r} does not match norm bound 0.0"
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            optimal_alice_settings(b0, b1)
 
     def test_value_matches_dense_expectation(self):
         rng = np.random.default_rng(44)

@@ -465,6 +465,17 @@ class TestMalformedStructure:
         op = nan_files["op"]
         self.assert_malformed(capsys, "chsh-bound", "--b0", op, "--b1", op)
 
+    @pytest.mark.parametrize(
+        "kind, shown", [([1], "[1]"), ({"a": 1}, "{'a': 1}")], ids=["array", "object"]
+    )
+    def test_bell_membership_kind_that_is_not_a_string(self, tmp_path, capsys, kind, shown):
+        # an unhashable kind fails the kind check instead of raising TypeError (exit 1)
+        table = {"kind": kind, "shape": [1, 2], "data": [0.5, 0.5]}
+        path = write_json(tmp_path / "c.json", table)
+        code, out, err = run_cli(capsys, "bell-membership", "--correlators", path)
+        assert (code, out) == (2, "")
+        assert err == f"incompat: error: {path}: kind must be 'single' or 'full', got {shown}\n"
+
 
 class TestInvalidContent:
     """Well-formed JSON that breaks a physical invariant exits 2 with its reason."""

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -268,12 +269,14 @@ class TestCorrelatorTableFormat:
          (BehaviorTable, "pm", (2, 2), "pm table needs 3 axes, got 2"),
          (BehaviorTable, "bell", (1, 1, 2), "bell table needs 4 axes, got 3"),
          (CorrelatorTable, "pm", (2, 2), "kind must be 'single' or 'full', got 'pm'"),
-         (BehaviorTable, "full", (1, 1, 2), "kind must be 'pm' or 'bell', got 'full'")],
+         (BehaviorTable, "full", (1, 1, 2), "kind must be 'pm' or 'bell', got 'full'"),
+         (CorrelatorTable, [1], (1, 2), "kind must be 'single' or 'full', got [1]"),
+         (BehaviorTable, {"a": 1}, (1, 1, 2), "kind must be 'pm' or 'bell', got {'a': 1}")],
     )
     def test_construction_checks_kind_and_axes(self, cls, kind, shape, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cls(kind, np.zeros(shape))
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cls.from_json_dict({"kind": kind, "shape": list(shape), "data": [0.0] * math.prod(shape)})
 
     def test_values_is_the_read_only_data(self):

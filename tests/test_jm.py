@@ -250,6 +250,18 @@ class TestDecide:
         with pytest.raises(ValueError, match="^effect 0 has a non-finite coefficient$"):
             decide(a)
 
+    def test_an_unequal_orthogonal_triple_goes_to_the_feasibility_search(self):
+        # the threshold screen needs equal visibilities; 0.62^2 + 0.6^2 + 0.58^2 > 1
+        a = Assemblage(
+            tuple(
+                DichotomicMeasurement.noisy_projective(axis, eta)
+                for axis, eta in zip(np.eye(3), (0.62, 0.60, 0.58))
+            )
+        )
+        verdict = decide(a)
+        assert (verdict.status, verdict.reason) == ("not_jm", "dykstra-gap-witness")
+        assert verdict.witness.verify(a)
+
     def test_effect_above_identity_gets_no_witness(self):
         # unchecked, s = 2 gives an exactly verified dykstra-gap-witness
         big = DichotomicMeasurement(QubitOperator(2.0, (0.0, 0.0, 0.0)))

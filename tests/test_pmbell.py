@@ -1,10 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from incompat import pmbell
-from incompat.correlations import phi_plus_correlator, pm_behavior, pm_correlators
+from incompat.correlations import (
+    BehaviorTable,
+    phi_plus_correlator,
+    pm_behavior,
+    pm_correlators,
+)
 from incompat.gallery import pauli_eigenstate_ensemble, pauli_set
 from incompat.pmbell import (
     certify_incompatibility,
@@ -270,6 +276,71 @@ class TestCertification:
         assert set(payload) >= {"d", "ensemble", "assemblage", "result", "notes"}
         assert "wall_clock_seconds" not in payload
         assert "wall_clock_seconds" in report.to_json_dict(include_timings=True)
+
+
+class TestCrossChecks:
+    """Each check of a certificate raises on one broken input, with its whole message.
+
+    The fixture is outside at d = 2: pauli_set("xz", 1.0) against the Bloch
+    vectors (1, 0, +-1)/sqrt(2), whose Bell certificate attains 2 sqrt(2).
+    """
+
+    @staticmethod
+    def raises(message):
+        return pytest.raises(AssertionError, match=f"^{re.escape(message)}$")
+
+    @pytest.fixture
+    def outside(self):
+        a, e = pauli_set("xz", 1.0), diagonal_ensemble()
+        return a, e, certify_incompatibility(a, e, 2)
+
+    def test_transfer_needs_the_two_oracle_bounds_to_agree(self, outside, monkeypatch):
+        M = pmbell._antisymmetrize(outside[2].pm_witness.M)
+        l_bell = bell_lmo(M)[1] + 1.0
+        l_pm = PMPolytope(2, *M.shape).lmo(np.stack([M, -M], axis=-1))[1]
+
+        def shifted_bell_lmo(M):
+            strategy, value = bell_lmo(M)
+            return strategy, value + 1.0
+
+        monkeypatch.setattr(pmbell, "bell_lmo", shifted_bell_lmo)
+        with self.raises(f"oracle bounds disagree: bell {l_bell!r} vs pm {l_pm!r}"):
+            map_pm_witness_to_bell(outside[2].pm_witness)
+
+    def test_certificate_needs_a_positive_local_bound(self, outside):
+        a, e, _ = outside
+        with self.raises("degenerate Bell witness: nonpositive local bound"):
+            pmbell._undoubled_bell_certificate(Witness(np.ones((4, 2)), 0.0, 1.0), e, a)
+
+    def test_certificate_needs_the_bound_to_rescale_to_two(self, outside):
+        a, e, report = outside
+        transferred = map_pm_witness_to_bell(report.pm_witness)
+        doubled_bound = Witness(transferred.M, 2.0 * transferred.L, transferred.Q)
+        with self.raises("local bound did not rescale to 2"):
+            pmbell._undoubled_bell_certificate(doubled_bound, e, a)
+
+    def test_certificate_needs_the_born_rule_to_agree(self, outside, monkeypatch):
+        a, e, report = outside
+        uniform = BehaviorTable("bell", np.full((2, 2, 2, 2), 0.25))  # every correlator 0
+        monkeypatch.setattr(pmbell, "bell_behavior_phi_plus", lambda alice, bob: uniform)
+        q = report.bell.quantum_value
+        assert repr(q) == "2.82842712474619"
+        with self.raises(f"correlator and Born-rule values disagree: {q!r} vs 0.0"):
+            certify_incompatibility(a, e, 2)
+
+    def test_seeds_skip_pairs_with_a_trivial_measurement(self):
+        xz = pauli_set("xz", 1.0)
+        with_trivial = Assemblage((xz[0], DichotomicMeasurement.trivial(), xz[1]))
+        seeds = pmbell._diagonal_seeds(with_trivial, 8)
+        assert np.array_equal(seeds, pmbell._diagonal_seeds(xz, 8))
+        assert np.allclose(seeds[:4], [(DIAG, 0, DIAG), (-DIAG, 0, -DIAG),
+                                       (DIAG, 0, -DIAG), (-DIAG, 0, DIAG)])
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0])
+    def test_no_violation_without_a_positive_correlator_bound(self, bound):
+        # M = 0 has no offset, so the correlator bound is the witness's own
+        witness = Witness(np.zeros((2, 1, 2)), bound, 1.0)
+        assert pmbell._normalized_violation(witness) == 0.0
 
 
 class TestSeesaw:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 
@@ -6,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incompat.correlations import BehaviorTable, CorrelatorTable, pm_behavior
 from incompat.gallery import pauli_eigenstate_ensemble, pauli_set
-from incompat.jm import mother_povm_xz, noisy_pauli_triple_jm
+from incompat.jm import JMWitness, mother_povm_xz, noisy_pauli_triple_jm
+from incompat.pmbell import certify_incompatibility
+from incompat.polytope import PMStrategy, SignAssignment, Witness
 from incompat.qcore import (
     Assemblage,
     DichotomicMeasurement,
@@ -18,12 +23,21 @@ from incompat.qcore import (
     apply_white_noise,
     born_bell_phi_plus,
     born_pm,
+    frozen,
     max_entangled_2,
     operator_norm,
     trace_product,
     transpose,
     validate,
 )
+
+
+def certificate(eta):
+    """Certification of pauli_set("xz", eta) against (1, 0, +-1)/sqrt(2) at
+    d = 2, without its wall-clock time: outside at eta = 1, inside at 0.5."""
+    e = Ensemble.from_bloch_vectors([(1, 0, 1), (1, 0, -1)] / np.sqrt(2))
+    report = certify_incompatibility(pauli_set("xz", eta), e, 2)
+    return dataclasses.replace(report, wall_clock=None)
 
 
 def bloch_vectors(max_norm=1.0):
@@ -306,13 +320,38 @@ class TestValueEquality:
         "build",
         [lambda: QubitOperator(0.5, (0, 0, 0.1)), lambda: QubitState.pure((1, 2, 3)),
          lambda: DichotomicMeasurement.noisy_projective((0, 1, 1), 0.7),
-         pauli_eigenstate_ensemble, lambda: pauli_set("xz", 0.5), lambda: mother_povm_xz(0.6)],
-        ids=["operator", "state", "measurement", "ensemble", "assemblage", "mother"],
+         pauli_eigenstate_ensemble, lambda: pauli_set("xz", 0.5), lambda: mother_povm_xz(0.6),
+         lambda: Witness([[1.0, -0.5], [0.25, 0.0]], 1.0, 1.5),
+         lambda: certificate(0.5).verdict, lambda: certificate(1.0).verdict,
+         lambda: certificate(1.0).bell, lambda: certificate(1.0),
+         lambda: pm_behavior(pauli_eigenstate_ensemble(), pauli_set("xz", 0.5)),
+         lambda: CorrelatorTable("full", [[0.5, -0.5], [0.5, 0.5]]), max_entangled_2],
+        ids=["operator", "state", "measurement", "ensemble", "assemblage", "mother", "witness",
+             "inside_verdict", "outside_verdict", "bell_certificate", "report", "behavior",
+             "correlators", "two_qubit"],
     )
     def test_equal_builders_compare_and_hash_equal(self, build):
         first, second = build(), build()
         assert first is not second
         assert first == second and hash(first) == hash(second)
+
+    @pytest.mark.parametrize(
+        "build, array",
+        [(lambda M: Witness(M, 1.0, 1.5), [[1.0, -0.5], [0.25, 0.0]]),
+         (lambda M: CorrelatorTable("full", M), [[0.5, -0.5], [0.5, 0.5]]),
+         (lambda M: BehaviorTable("pm", M), [[[0.25, 0.75]]]),
+         (TwoQubitOperator, np.eye(4)),
+         (lambda M: dataclasses.replace(certificate(1.0).bell, coefficients=M),
+          certificate(1.0).bell.coefficients)],
+        ids=["witness", "correlators", "behavior", "two_qubit", "bell_certificate"],
+    )
+    def test_one_ulp_in_one_array_entry_is_unequal(self, build, array):
+        array = np.array(array, dtype=float)
+        for i in range(array.size):
+            nudged = array.copy()
+            nudged.flat[i] = math.nextafter(nudged.flat[i], 2.0)
+            assert build(array) == build(array.copy())
+            assert build(array) != build(nudged)
 
     def test_one_ulp_in_s_or_in_one_entry_of_v_is_unequal(self):
         op = QubitOperator(0.5, (0.1, 0.2, 0.3))
@@ -327,9 +366,50 @@ class TestValueEquality:
         negative, positive = QubitOperator(0.5, (-0.0, 0, 0)), QubitOperator(0.5, (0.0, 0, 0))
         assert negative == positive and hash(negative) == hash(positive)
         assert len({negative, positive}) == 1
+        assert len({Witness([[-0.0, 1.0]], 0.0, 1.0), Witness([[0.0, 1.0]], 0.0, 1.0)}) == 1
 
     def test_another_type_is_unequal(self):
         assert QubitOperator.identity() != (1.0, 0.0, 0.0, 0.0)
+
+    def test_another_kind_or_shape_is_unequal(self):
+        assert CorrelatorTable("full", [[0.5]]) != CorrelatorTable("single", [[0.5]])
+        assert Witness([[1.0, 0.0]], 0.0, 1.0) != Witness([[1.0], [0.0]], 0.0, 1.0)
+
+    def test_record_arrays_are_read_only_copies(self):
+        source = np.array([[0.5, -0.5], [0.25, 0.0]])
+        frozen_arrays = [
+            QubitOperator(0.5, source[0, :1].repeat(3)).v, max_entangled_2().matrix,
+            CorrelatorTable("full", source).data, Witness(source, 1.0, 1.5).M,
+            frozen(source), frozen(source, complex),
+        ]
+        for arr in frozen_arrays:
+            assert not arr.flags.writeable and not np.shares_memory(arr, source)
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 1.0
+        assert frozen(source, complex).dtype == complex
+
+
+class TestFieldEncoding:
+    @pytest.mark.parametrize(
+        "record, expected",
+        [(QubitOperator(0.25, (0.5, -0.125, 0)), {"s": 0.25, "v": [0.5, -0.125, 0.0]}),
+         (PMStrategy((0, 1, 1), ((0, 1), (1, 0))), {"f": [0, 1, 1], "g": [[0, 1], [1, 0]]}),
+         (SignAssignment((1, -1), (-1, 1, 1)), {"alpha": [1, -1], "beta": [-1, 1, 1]}),
+         (Witness([[1.0, -0.5]], 1, 1.5), {"M": [[1.0, -0.5]], "L": 1.0, "Q": 1.5}),
+         (JMWitness(QubitOperator(0.5, (0, 0, 0)), (QubitOperator(-0.25, (0, 0, 0.25)),), -0.125),
+          {"z": {"s": 0.5, "v": [0.0, 0.0, 0.0]}, "f": [{"s": -0.25, "v": [0.0, 0.0, 0.25]}],
+           "value": -0.125}),
+         (mother_povm_xz(0.5),
+          {"effects": [{"s": 0.25, "v": [0.125, 0.0, 0.125]},
+                       {"s": 0.25, "v": [0.125, 0.0, -0.125]},
+                       {"s": 0.25, "v": [-0.125, 0.0, 0.125]},
+                       {"s": 0.25, "v": [-0.125, 0.0, -0.125]}],
+           "responses": [[0, 0], [0, 1], [1, 0], [1, 1]]})],
+        ids=["operator", "pm_strategy", "sign_assignment", "witness", "jm_witness", "mother"],
+    )
+    def test_each_field_maps_to_its_json_value(self, record, expected):
+        encoded = record.to_json_dict()
+        assert encoded == expected and json.dumps(encoded) == json.dumps(expected)
 
 
 class TestInputChecks:
