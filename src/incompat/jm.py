@@ -41,7 +41,6 @@ from .qcore import (
     check_unbiased,
     check_visibility,
     is_json_number,
-    is_json_numbers,
     operator_norm,
     validate,
 )
@@ -126,7 +125,8 @@ class MotherPOVM(_Record):
             isinstance(data, dict)
             and isinstance(data.get("effects"), list)
             and isinstance(data.get("responses"), list)
-            and all(map(is_json_numbers, data["responses"]))
+            and all(isinstance(row, list) for row in data["responses"])
+            and all(type(b) is int for row in data["responses"] for b in row)
         ):
             raise ValueError('expected a parent object {"effects": [..], "responses": [[..]]}')
         return cls(
@@ -229,12 +229,9 @@ class JMVerdict(_Record):
         return self.status == "jm"
 
     def to_json_dict(self) -> dict:
-        out: dict = {"verdict": self.status}
-        for key in ("mother", "witness", "reason", "residual", "iterations", "pair",
-                    "margin", "visibility"):
-            if (value := getattr(self, key)) is not None:
-                out[key] = self._json(value)
-        return out
+        keys = ("mother", "witness", "reason", "residual", "iterations", "pair", "margin",
+                "visibility")
+        return self._dict(("verdict", self.status), *((k, getattr(self, k)) for k in keys))
 
 
 def busch_pair_criterion(
@@ -295,7 +292,7 @@ def _orthogonal_triple_visibility(a: Assemblage) -> float | None:
     return etas[0]
 
 
-def _check_budget(max_iter: int, tol: float) -> None:
+def _check_search_args(max_iter: int, tol: float) -> None:
     if not (max_iter >= 0 and tol > 0.0):
         raise ValueError(f"need max_iter >= 0 and tol > 0, got {max_iter} and {tol}")
 
@@ -310,7 +307,7 @@ def decide(a: Assemblage, max_iter: int = 5000, tol: float = 1e-9) -> JMVerdict:
     that is not positive, or an assemblage that validate() rejects raises
     before any screen runs.
     """
-    _check_budget(max_iter, tol)
+    _check_search_args(max_iter, tol)
     validate(a)
     for i, j in itertools.combinations(range(len(a)), 2):
         if a[i].is_unbiased and a[j].is_unbiased:
@@ -381,7 +378,7 @@ def jm_feasibility(
     arithmetic; a witness that passes gives not_jm.  Undecided otherwise.
     A negative max_iter or a tolerance that is not positive raises.
     """
-    _check_budget(max_iter, tol)
+    _check_search_args(max_iter, tol)
     if not 0 < len(a) <= MAX_SETTINGS:
         raise ValueError(f"need 1 to {MAX_SETTINGS} measurements, got {len(a)}")
     responses = tuple(itertools.product((0, 1), repeat=len(a)))

@@ -44,6 +44,7 @@ from .qcore import (
     QubitState,
     _Record,
     check_unbiased,
+    frozen,
     transpose,
     validate,
 )
@@ -156,14 +157,15 @@ class BellCertificate(_Record):
     quantum_value_born: float
     alice: Assemblage
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coefficients", frozen(self.coefficients))
+
     def to_json_dict(self) -> dict:
-        return {
-            "coefficients": self.coefficients.tolist(),
-            "local_bound": self.local_bound,
-            "quantum_value": self.quantum_value,
-            "quantum_value_born": self.quantum_value_born,
-            "alice_effects": self.alice.to_json_list(),
-        }
+        return self._dict(
+            ("coefficients", self.coefficients), ("local_bound", self.local_bound),
+            ("quantum_value", self.quantum_value), ("quantum_value_born", self.quantum_value_born),
+            ("alice_effects", self.alice),
+        )
 
 
 @dataclass(frozen=True)
@@ -180,20 +182,12 @@ class CertificationReport(_Record):
     wall_clock: float | None = None
 
     def to_json_dict(self, include_timings: bool = False) -> dict:
-        out: dict = {
-            "d": self.d,
-            "ensemble": self.ensemble.to_json_list(),
-            "assemblage": self.assemblage.to_json_list(),
-            "result": self.verdict.to_json_dict(),
-            "notes": list(self.notes),
-        }
-        if self.pm_witness is not None:
-            out["pm_witness"] = self.pm_witness.to_json_dict()
-        if self.bell is not None:
-            out["bell_certificate"] = self.bell.to_json_dict()
-        if include_timings and self.wall_clock is not None:
-            out["wall_clock_seconds"] = self.wall_clock
-        return out
+        timing = self.wall_clock if include_timings else None
+        return self._dict(
+            ("d", self.d), ("ensemble", self.ensemble), ("assemblage", self.assemblage),
+            ("result", self.verdict), ("notes", self.notes), ("pm_witness", self.pm_witness),
+            ("bell_certificate", self.bell), ("wall_clock_seconds", timing),
+        )
 
 
 def _undoubled_bell_certificate(

@@ -34,8 +34,7 @@ from .qcore import _Record, frozen
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
 DEFAULT_VERTEX_BUDGET = 10_000
-_ONE_HOT = np.eye(2)  # row b one-hot encodes the response bit b
-_ONE_HOT.setflags(write=False)
+_ONE_HOT = frozen(np.eye(2))  # row b one-hot encodes the response bit b
 
 
 class EnumerationBudgetError(ValueError):
@@ -44,9 +43,7 @@ class EnumerationBudgetError(ValueError):
 
 def _row(strategy) -> np.ndarray:
     """The strategy's vector() flattened and read-only: its polytope vertex."""
-    row = strategy.vector().ravel()
-    row.setflags(write=False)
-    return row
+    return frozen(strategy.vector().ravel())
 
 
 @dataclass(frozen=True)
@@ -118,6 +115,11 @@ class MembershipVerdict(_Record):
     iterations: int = 0
     termination: str | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("vertices", "weights"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, frozen(getattr(self, name)))
+
     @property
     def is_inside(self) -> bool:
         return self.status == "inside"
@@ -127,20 +129,14 @@ class MembershipVerdict(_Record):
         return self.status == "outside"
 
     def to_json_dict(self) -> dict:
-        out: dict = {"verdict": self.status, "iterations": self.iterations}
-        if self.weights is not None:
-            if self.strategies is not None:
-                out["vertices"] = [s.to_json_dict() for s in self.strategies]
-            elif self.vertices is not None:
-                out["vertices"] = self.vertices.tolist()
-            out["weights"] = [float(w) for w in self.weights]
-        if self.reconstruction_error is not None:
-            out["reconstruction_error"] = self.reconstruction_error
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json_dict()
-        if self.distance_lower is not None:
-            out["distance_bounds"] = [self.distance_lower, self.distance_upper]
-        return out
+        listed = self.vertices if self.strategies is None else self.strategies
+        bounds = self.distance_lower, self.distance_upper
+        return self._dict(
+            ("verdict", self.status), ("iterations", self.iterations),
+            ("vertices", None if self.weights is None else listed), ("weights", self.weights),
+            ("reconstruction_error", self.reconstruction_error), ("witness", self.witness),
+            ("distance_bounds", None if self.distance_lower is None else bounds),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +160,7 @@ def _lex_onehot(k: int, m: int) -> np.ndarray:
     idx = np.arange(k**m)
     for j in range(m - 1, -1, -1):
         idx, digits[:, j] = np.divmod(idx, k)
-    table = (digits == np.arange(k)[:, None, None]).astype(float)
-    table.setflags(write=False)
-    return table
+    return frozen(digits == np.arange(k)[:, None, None])
 
 
 def _check_budget(k: int, n: int, what: str) -> None:

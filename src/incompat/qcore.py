@@ -53,10 +53,11 @@ def frozen(x, dtype=float) -> np.ndarray:
 
 
 class _Record:
-    """Base of the frozen dataclass records.  A record with an array field is
-    declared eq=False and compares and hashes here, each array by its shape
-    and entries (so -0.0 equals 0.0); the others keep the dataclass's faster
-    methods.  to_json_dict maps each field name to its value (see _json)."""
+    """Base of the frozen dataclass records; each array they hold comes from
+    frozen.  A record with an array field is declared eq=False and compares
+    and hashes here, each array by its shape and entries (so -0.0 equals 0.0).
+    to_json_dict maps each field name to its value (see _json); a record whose
+    keys are not its fields builds its JSON object with _dict instead."""
 
     def _key(self) -> tuple:
         values = (getattr(self, f.name) for f in fields(self))
@@ -74,12 +75,19 @@ class _Record:
         return {f.name: self._json(getattr(self, f.name)) for f in fields(self)}
 
     @staticmethod
+    def _dict(*pairs) -> dict:
+        """The JSON object of the (key, value) pairs whose value is not None."""
+        return {key: _Record._json(value) for key, value in pairs if value is not None}
+
+    @staticmethod
     def _json(value):
-        """Arrays and tuples as lists, records as dicts, anything else as it is."""
+        """Arrays, tuples and operator lists as lists, records as dicts, else as is."""
         if isinstance(value, _Record):
             return value.to_json_dict()
         if isinstance(value, np.ndarray):
             return value.tolist()
+        if isinstance(value, _OperatorList):
+            return value.to_json_list()
         return [_Record._json(v) for v in value] if isinstance(value, tuple) else value
 
 
@@ -320,12 +328,8 @@ class TwoQubitOperator(_Record):
         return float(np.real(np.conj(vec) @ (self.matrix @ vec)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "matrix": [
-                [[float(z.real), float(z.imag)] for z in row]
-                for row in self.matrix
-            ]
-        }
+        m = self.matrix
+        return self._dict(("matrix", np.stack((m.real, m.imag), axis=-1)))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TwoQubitOperator":
@@ -338,7 +342,7 @@ class TwoQubitOperator(_Record):
         return cls(np.array([[complex(re, im) for re, im in row] for row in rows]))
 
 
-PHI_PLUS_VEC = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+PHI_PLUS_VEC = frozen(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0), complex)
 
 
 def max_entangled_2() -> TwoQubitOperator:

@@ -436,6 +436,8 @@ class TestMotherPovmChecks:
             {"effects": [{"s": 1.0, "v": [0, 0, 0]}], "responses": [[]]},
             {"effects": [{"s": 1.0, "v": [0, 0, 0]}], "responses": [[0], [1]]},
             {"effects": [{"s": 0.5, "v": [0, 0, 0]}] * 2, "responses": [[0], [0, 1]]},
+            {"effects": [{"s": 0.5, "v": [0, 0, 0.5]}, {"s": 0.5, "v": [0, 0, -0.5]}],
+             "responses": [[0.0], [1.0]]},
         ],
     )
     def test_malformed_parent_raises_value_error(self, data):

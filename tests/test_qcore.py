@@ -10,10 +10,19 @@ from hypothesis import strategies as st
 
 from incompat.correlations import BehaviorTable, CorrelatorTable, pm_behavior
 from incompat.gallery import pauli_eigenstate_ensemble, pauli_set
-from incompat.jm import JMWitness, mother_povm_xz, noisy_pauli_triple_jm
-from incompat.pmbell import certify_incompatibility
-from incompat.polytope import PMStrategy, SignAssignment, Witness
+from incompat.jm import JMVerdict, JMWitness, mother_povm_xz, noisy_pauli_triple_jm
+from incompat.pmbell import BellCertificate, CertificationReport, certify_incompatibility
+from incompat.polytope import (
+    BellPolytope,
+    MembershipVerdict,
+    PMStrategy,
+    SignAssignment,
+    Witness,
+    brute_force_membership,
+    fw_membership,
+)
 from incompat.qcore import (
+    PHI_PLUS_VEC,
     Assemblage,
     DichotomicMeasurement,
     Ensemble,
@@ -377,16 +386,23 @@ class TestValueEquality:
 
     def test_record_arrays_are_read_only_copies(self):
         source = np.array([[0.5, -0.5], [0.25, 0.0]])
+        fw_inside, bell = certificate(0.5).verdict, certificate(1.0).bell
+        simplex_inside = brute_force_membership(source[0], source)
+        assert fw_inside.is_inside and simplex_inside.is_inside and bell is not None
+        records = (fw_inside, simplex_inside, bell)
+        hashes = [hash(record) for record in records]
         frozen_arrays = [
             QubitOperator(0.5, source[0, :1].repeat(3)).v, max_entangled_2().matrix,
             CorrelatorTable("full", source).data, Witness(source, 1.0, 1.5).M,
-            frozen(source), frozen(source, complex),
+            frozen(source), frozen(source, complex), fw_inside.weights,
+            simplex_inside.vertices, bell.coefficients, PHI_PLUS_VEC,
         ]
         for arr in frozen_arrays:
             assert not arr.flags.writeable and not np.shares_memory(arr, source)
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 1.0
         assert frozen(source, complex).dtype == complex
+        assert [hash(record) for record in records] == hashes
 
 
 class TestFieldEncoding:
@@ -409,6 +425,85 @@ class TestFieldEncoding:
     )
     def test_each_field_maps_to_its_json_value(self, record, expected):
         encoded = record.to_json_dict()
+        assert encoded == expected and json.dumps(encoded) == json.dumps(expected)
+
+    @pytest.mark.parametrize(
+        "record, expected",
+        [(fw_membership(np.array([[1.0, 0.0], [1.0, 0.0]]), BellPolytope(2, 2)),
+          {"verdict": "inside", "iterations": 2,
+           "vertices": [{"alpha": [1, 1], "beta": [1, 1]}, {"alpha": [1, 1], "beta": [1, -1]}],
+           "weights": [0.5, 0.5], "reconstruction_error": 0.0}),
+         (fw_membership(np.full((2, 2), 2.0), BellPolytope(2, 2)),
+          {"verdict": "outside", "iterations": 1,
+           "witness": {"M": [[1.0, 1.0], [1.0, 1.0]], "L": 4.0, "Q": 8.0},
+           "distance_bounds": [2.0, 2.0]}),
+         (fw_membership(np.array([[1.0, 0.0], [1.0, 0.0]]), BellPolytope(2, 2), max_iter=0),
+          {"verdict": "undecided", "iterations": 0,
+           "distance_bounds": [0.0, 1.4142135623730951]}),
+         (brute_force_membership(np.array([0.5, 0.5]), [[1.0, 0.0], [0.0, 1.0]]),
+          {"verdict": "inside", "iterations": 1, "vertices": [[1.0, 0.0], [0.0, 1.0]],
+           "weights": [0.5, 0.5], "reconstruction_error": 0.0}),
+         (JMVerdict("jm", mother=mother_povm_xz(0.5), iterations=1),
+          {"verdict": "jm",
+           "mother": {"effects": [{"s": 0.25, "v": [0.125, 0.0, 0.125]},
+                                  {"s": 0.25, "v": [0.125, 0.0, -0.125]},
+                                  {"s": 0.25, "v": [-0.125, 0.0, 0.125]},
+                                  {"s": 0.25, "v": [-0.125, 0.0, -0.125]}],
+                      "responses": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+           "iterations": 1}),
+         (JMVerdict("not_jm", reason="pair-norm-criterion", pair=(0, 1), margin=-0.75),
+          {"verdict": "not_jm", "reason": "pair-norm-criterion", "pair": [0, 1],
+           "margin": -0.75}),
+         (JMVerdict("not_jm", reason="dykstra-gap-witness", residual=0.0625, iterations=3,
+                    witness=JMWitness(QubitOperator(0.5, (0, 0, 0)),
+                                      (QubitOperator(-0.25, (0, 0, 0.25)),), -0.125)),
+          {"verdict": "not_jm",
+           "witness": {"z": {"s": 0.5, "v": [0.0, 0.0, 0.0]},
+                       "f": [{"s": -0.25, "v": [0.0, 0.0, 0.25]}], "value": -0.125},
+           "reason": "dykstra-gap-witness", "residual": 0.0625, "iterations": 3}),
+         (BellCertificate(np.array([[1.0, 1.0], [1.0, -1.0]]), 2.0, 2.75, 2.625,
+                          pauli_set("xz", 1.0)),
+          {"coefficients": [[1.0, 1.0], [1.0, -1.0]], "local_bound": 2.0,
+           "quantum_value": 2.75, "quantum_value_born": 2.625,
+           "alice_effects": [{"s": 0.5, "v": [0.5, 0.0, 0.0]},
+                             {"s": 0.5, "v": [0.0, 0.0, 0.5]}]}),
+         (TwoQubitOperator(np.array([[1, 0.5j, 0, 0], [-0.5j, 0, 0, 0],
+                                     [0, 0, 0.25, -0.125], [0, 0, -0.125, -1]])),
+          {"matrix": [[[1.0, 0.0], [0.0, 0.5], [0.0, 0.0], [0.0, 0.0]],
+                      [[-0.0, -0.5], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                      [[0.0, 0.0], [0.0, 0.0], [0.25, 0.0], [-0.125, 0.0]],
+                      [[0.0, 0.0], [0.0, 0.0], [-0.125, 0.0], [-1.0, 0.0]]]})],
+        ids=["fw_inside", "fw_outside", "fw_undecided", "simplex_inside", "jm",
+             "not_jm_pair", "not_jm_gap_witness", "bell_certificate", "two_qubit"],
+    )
+    def test_each_report_key_in_order(self, record, expected):
+        encoded = record.to_json_dict()
+        assert encoded == expected and json.dumps(encoded) == json.dumps(expected)
+
+    @pytest.mark.parametrize("include_timings", [False, True])
+    def test_certification_report_keys_in_order(self, include_timings):
+        bell = BellCertificate(np.array([[2.0]]), 2.0, 2.5, 2.5, pauli_set("z", 1.0))
+        report = CertificationReport(
+            2, MembershipVerdict("outside", witness=Witness([[1.0, -1.0]], 1.0, 1.5),
+                                 distance_lower=0.25, distance_upper=0.5, iterations=4),
+            Ensemble.from_bloch_vectors([(0, 0, 1)]), pauli_set("z", 1.0),
+            pm_witness=Witness([[1.0, -1.0]], 1.0, 1.5), bell=bell, notes=("a note",),
+            wall_clock=0.125,
+        )
+        expected = {
+            "d": 2, "ensemble": [{"s": 0.5, "v": [0.0, 0.0, 0.5]}],
+            "assemblage": [{"s": 0.5, "v": [0.0, 0.0, 0.5]}],
+            "result": {"verdict": "outside", "iterations": 4,
+                       "witness": {"M": [[1.0, -1.0]], "L": 1.0, "Q": 1.5},
+                       "distance_bounds": [0.25, 0.5]},
+            "notes": ["a note"], "pm_witness": {"M": [[1.0, -1.0]], "L": 1.0, "Q": 1.5},
+            "bell_certificate": {"coefficients": [[2.0]], "local_bound": 2.0,
+                                 "quantum_value": 2.5, "quantum_value_born": 2.5,
+                                 "alice_effects": [{"s": 0.5, "v": [0.0, 0.0, 0.5]}]},
+        }
+        if include_timings:
+            expected["wall_clock_seconds"] = 0.125
+        encoded = report.to_json_dict(include_timings=include_timings)
         assert encoded == expected and json.dumps(encoded) == json.dumps(expected)
 
 
