@@ -79,7 +79,8 @@ class MotherPOVM(_Record):
             and len(rows) == len(self.effects)
             and len({len(row) for row in rows}) == 1
             and len(rows[0]) > 0
-            and {b for row in rows for b in row} <= {0, 1}
+            # type() refuses 1.0 and True, which JSON would encode as other types
+            and all(type(b) is int and b in (0, 1) for row in rows for b in row)
         ):
             raise ValueError("need one response row of 0s and 1s per effect, all one length")
 
@@ -126,7 +127,6 @@ class MotherPOVM(_Record):
             and isinstance(data.get("effects"), list)
             and isinstance(data.get("responses"), list)
             and all(isinstance(row, list) for row in data["responses"])
-            and all(type(b) is int for row in data["responses"] for b in row)
         ):
             raise ValueError('expected a parent object {"effects": [..], "responses": [[..]]}')
         return cls(

@@ -12,7 +12,9 @@ doubled scenario equals the local-hidden-variable bound of the same
 the value-level check and the end-to-end certification pipeline, plus a
 see-saw search over ensembles for the existential quantifier.  Every PM
 classical bound here comes from PMPolytope.lmo, which enumerates encodings or
-response tables, whichever is cheaper, and each bound is computed once.
+response tables, whichever is cheaper (the tables one per relabelling of the
+messages, which gives the same bits as all of them), and each bound is
+computed once.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -57,6 +58,17 @@ class PMStrategy(_Record):
     def vector(self) -> np.ndarray:
         """Behaviour array v[x, y, b] = 1 when g[f[x]][y] == b."""
         return _ONE_HOT[np.asarray(self.g)[list(self.f)]]
+
+
+def _pm_strategy(f: np.ndarray, g: np.ndarray) -> PMStrategy:
+    """The strategy of an oracle's integer arrays f (n_x,) and g (d, n_y).
+
+    Its row cache is filled from the same arrays, with the entries vector()
+    would give, so Frank-Wolfe never rebuilds a vertex from the tuples.
+    """
+    strategy = PMStrategy(tuple(f.tolist()), tuple(map(tuple, g.tolist())))
+    vars(strategy)["row"] = frozen(_ONE_HOT.take(g.take(f, axis=0), axis=0).ravel())
+    return strategy
 
 
 @dataclass(frozen=True)
@@ -182,7 +194,8 @@ def _lex_argmax(
     one buffer per call holds the chunk and only its prefix columns change.
     score(T) gets a chunk as a one-hot (k, rows, n) table, which it must not
     write or keep, and returns one value per row plus a per-row array the
-    caller decodes the winner from.
+    caller decodes the winner from (a view of T will do: the winner's row is
+    copied before the next chunk is written).
     Returns the winning digits, value and that array's row; ties go to the
     first row.  A call holds one chunk and what score builds from it, so for
     k <= _CHUNK_SIZE its memory is a small multiple of _CHUNK_SIZE times the
@@ -212,7 +225,8 @@ def pm_lmo(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
     Enumerates every encoding f in lexicographic order; for fixed f the best
     response picks, per message value and setting, the outcome with the larger
     group sum.  Ties resolve to the lowest message, lowest outcome, and first
-    (lexicographically smallest) encoding, so runs are reproducible.
+    (lexicographically smallest) encoding, so runs are reproducible.  The
+    winner's group sums come from its one-hot message masks as enumerated.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 3 or M.shape[2] != 2:
@@ -232,42 +246,75 @@ def pm_lmo(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
         D = T @ diff
         np.maximum(D, 0.0, out=D)
         vals = D.sum(axis=2).sum(axis=0, initial=const)
-        return vals, vals  # the encoding alone decodes the winner
+        return vals, T.swapaxes(0, 1)  # row i: the encoding's d message masks
 
-    f, _, _ = _lex_argmax(d, n_x, score, "encodings")
+    f, _, masks = _lex_argmax(d, n_x, score, "encodings")
     flat = M.reshape(n_x, n_y * 2)
-    group = np.stack([(f == a).astype(float) @ flat for a in range(d)])
-    table = group.reshape(d, n_y, 2)
-    g = tuple(map(tuple, table.argmax(axis=2).tolist()))
-    return PMStrategy(tuple(f.tolist()), g), float(table.max(axis=2).sum())
+    table = np.array([masks[a] @ flat for a in range(d)]).reshape(d, n_y, 2)
+    return _pm_strategy(f, table.argmax(axis=2)), float(table.max(axis=2).sum())
+
+
+@functools.lru_cache(maxsize=8)
+def _sorted_tables(k: int, d: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """How the response route walks the non-decreasing d-tuples of range(k).
+
+    Returns (p, S, start), the arrays read-only.  Column j of S is the j-th
+    of the non-decreasing (d - p)-tuples in lexicographic order, for the
+    smallest p < d for which there are at most _CHUNK_SIZE // 2 of them
+    (p = d - 1 if no p has).  In lexicographic order the non-decreasing
+    d-tuples are the non-decreasing p-tuples, each followed by the columns
+    S[:, start[i]:], those whose first entry is at least the prefix's last
+    entry i (all of S for the empty prefix).
+    """
+    p = next((p for p in range(d) if math.comb(k + d - p - 1, d - p) <= _CHUNK_SIZE // 2), d - 1)
+    S = frozen(list(zip(*itertools.combinations_with_replacement(range(k), d - p))), np.intp)
+    return p, S, frozen(np.searchsorted(S[0], np.arange(k)), np.intp)
 
 
 def _pm_lmo_over_responses(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
     """Exact PM maximum by enumerating response tables g, 2^(d n_y) of them.
 
-    For fixed g every x sends its best message.  Ties resolve to the first
-    table (outcome 0 before 1) and then to the lowest message.
+    For fixed g every x sends its best message, so a table scores
+    sum_x max_a hb[g[a], x], where row r of hb = R @ delta + base, computed
+    once per call, is what x gets from a message answered by response row r.
+    The maximum over messages is exact and symmetric, so relabelling the
+    messages, which permutes g's rows, changes no bit of a score.  Only the
+    table of each class whose row indices do not decrease, the class's first
+    in lexicographic order, is scored, in that order, so the first maximiser
+    kept is the first over all tables (outcome 0 before 1); each x then takes
+    the lowest best message.
+
+    When d >= 2, as whenever PMPolytope takes this route, the budget keeps
+    2^n_y below its square root, so hb and R are small and one prefix's
+    chunk scores at most _CHUNK_SIZE // 2 tables; a d = 1 call holds all
+    2^n_y rows at once.
     """
     n_x, n_y, _ = M.shape
-    base = M[:, :, 0].sum(axis=1)
-    delta = (M[:, :, 1] - M[:, :, 0]).T  # (n_y, n_x)
-
-    def score(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        per_message = (T[1].reshape(-1, n_y) @ delta).reshape(-1, d, n_x)
-        # Rounding is monotone, so adding base after the maximum over
-        # messages gives the same bits as adding it before; a loop of
-        # pairwise maxima is exact too, and much cheaper than max(axis=1).
-        best = per_message[:, 0].copy()
-        for a in range(1, d):
-            np.maximum(best, per_message[:, a], out=best)
-        best += base
-        return best.sum(axis=1), per_message
-
-    bits, value, table = _lex_argmax(2, d * n_y, score, "response tables")
-    table += base  # as scored, so ties between messages break the same way
-    f = tuple(table.argmax(axis=0).tolist())
-    g = tuple(map(tuple, bits.reshape(d, n_y).tolist()))
-    return PMStrategy(f, g), value
+    _check_budget(2, d * n_y, "response tables")
+    R = _lex_onehot(2, n_y)[1]  # the 2^n_y response rows as 0/1 floats
+    p, S, start = _sorted_tables(len(R), d)
+    # Rounding is monotone, so adding base before the maximum over messages
+    # gives the same bits as adding it after.
+    hb = R @ (M[:, :, 1] - M[:, :, 0]).T
+    hb += M[:, :, 0].sum(axis=1)
+    # The maximum over the last d - p messages, per column of S; a maximum is
+    # exact in any order, so a prefix's messages can come last.
+    tail = hb.take(S[0], axis=0)
+    for column in S[1:]:
+        np.maximum(tail, hb.take(column, axis=0), out=tail)
+    best = None
+    for prefix in itertools.combinations_with_replacement(range(len(R)), p):
+        lo = start[prefix[-1]] if prefix else 0
+        scores = tail[lo:]
+        if prefix:
+            scores = np.maximum(scores, hb.take(prefix, axis=0).max(axis=0))
+        values = scores.sum(axis=1)
+        i = int(values.argmax())
+        if best is None or values[i] > best[1]:
+            best = ([*prefix, *S[:, lo + i].tolist()], float(values[i]))
+    table, value = best
+    f = hb.take(table, axis=0).argmax(axis=0)  # as scored, so ties break the same way
+    return _pm_strategy(f, R.take(table, axis=0).astype(np.intp)), value
 
 
 def bell_lmo(M: np.ndarray) -> tuple[SignAssignment, float]:
@@ -339,9 +386,12 @@ class PMPolytope(_Adapter):
 
     Internally picks whichever exact enumeration is cheaper for the shape:
     over encodings f (d^n_x candidates, the reference route) or over response
-    tables g (2^(d n_y) candidates, each x then picking its best message).
-    Both return exact maxima; only tie-breaking among equally good vertices
-    differs, and each route is itself deterministic.
+    tables g (2^(d n_y) candidates, each x then picking its best message; only
+    one table per relabelling of the messages is scored, which returns the
+    same bits as scoring all of them).  Both return exact maxima; only
+    tie-breaking among equally good vertices differs, and each route is
+    itself deterministic.  Both build the returned strategy's vertex row from
+    their own integer arrays, so vertex() only reads it.
     """
 
     def __init__(self, d: int, n_x: int, n_y: int) -> None:

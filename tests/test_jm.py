@@ -444,6 +444,13 @@ class TestMotherPovmChecks:
         with pytest.raises(ValueError):
             MotherPOVM.from_json_dict(data)
 
+    @pytest.mark.parametrize("responses", [((0.0,), (True,)), ((0,), (1.0,)), ((False,), (1,))])
+    def test_constructor_refuses_what_the_decoder_refuses(self, responses):
+        effects = (QubitOperator(0.5, (0, 0, 0.5)), QubitOperator(0.5, (0, 0, -0.5)))
+        assert MotherPOVM(effects, ((0,), (1,))).is_valid_for(pauli_set("z", 1.0), 1e-12)
+        with pytest.raises(ValueError, match="^need one response row of 0s and 1s"):
+            MotherPOVM(effects, responses)
+
     @pytest.mark.parametrize(
         "data",
         [

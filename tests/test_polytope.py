@@ -25,7 +25,7 @@ from incompat.polytope import (
     fw_membership,
     pm_lmo,
 )
-from incompat.qcore import Assemblage, Ensemble, QubitState
+from incompat.qcore import Assemblage, Ensemble, QubitState, frozen
 
 TSIRELSON = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
@@ -733,19 +733,38 @@ def _assert_python_ints(strategy):
     json.dumps(strategy.to_json_dict())
 
 
+def _assert_row_is_the_vector(strategy):
+    # the oracle fills the row cache; it must hold what vector() builds
+    expected = frozen(strategy.vector().ravel())
+    assert strategy.row.dtype == expected.dtype and not strategy.row.flags.writeable
+    assert np.array_equal(strategy.row, expected)
+
+
 class TestOnePassOracles:
     """Both PM routes against their per-message, per-entry reference forms."""
 
-    # (d, n_x, n_y, calls); the last two walk four and three chunks
+    # (d, n_x, n_y, calls); (2, 17, 2) and (3, 10, 2) walk four and three
+    # encoding chunks; the d = 2 shapes with n_x = 8 and 16 are those of the
+    # seesaw_certify benchmark
     SHAPES = [(2, 3, 2, 40), (2, 8, 3, 40), (3, 5, 2, 40), (4, 4, 2, 20), (2, 6, 5, 20),
-              (2, 17, 2, 2), (3, 10, 2, 2)]
+              (2, 17, 2, 2), (3, 10, 2, 2),
+              *((2, 8, n_y, 30) for n_y in range(2, 6)),
+              *((2, 16, n_y, 6) for n_y in range(2, 6))]
+    # the response route walks (2, 20, 8) and (3, 6, 6) one prefix at a time
+    RESPONSE_SHAPES = SHAPES + [(4, 5, 3, 10), (2, 20, 8, 3), (3, 6, 6, 2)]
 
     @staticmethod
     def _coefficients(rng, shape, k):
         # integer-valued draws make many exact ties
-        if k % 2:
+        if k % 3 == 1:
             return rng.integers(-2, 3, size=shape).astype(float)
-        return rng.normal(size=shape)
+        M = rng.normal(size=shape)
+        if k % 3 == 2:
+            # doubled and antisymmetric, as certify builds them: each of the
+            # first half's x has a twin with its outcomes swapped (mirror ties)
+            half = shape[0] // 2
+            M[half : 2 * half] = M[:half, :, ::-1]
+        return M
 
     @pytest.mark.parametrize("d, n_x, n_y, calls", SHAPES)
     def test_encoding_route_matches_the_reference(self, d, n_x, n_y, calls):
@@ -757,8 +776,9 @@ class TestOnePassOracles:
             assert strategy == ref_strategy
             assert value == ref_value
             _assert_python_ints(strategy)
+            _assert_row_is_the_vector(strategy)
 
-    @pytest.mark.parametrize("d, n_x, n_y, calls", SHAPES[:5])
+    @pytest.mark.parametrize("d, n_x, n_y, calls", RESPONSE_SHAPES)
     def test_response_route_matches_the_reference(self, d, n_x, n_y, calls):
         rng = np.random.default_rng(2000 * d + 10 * n_x + n_y)
         for k in range(calls):
@@ -766,6 +786,7 @@ class TestOnePassOracles:
             strategy, value = polytope._pm_lmo_over_responses(M, d)
             assert (strategy, value) == _reference_pm_lmo_over_responses(M, d)
             _assert_python_ints(strategy)
+            _assert_row_is_the_vector(strategy)
 
 
 class TestBarycentricStart:
