@@ -204,14 +204,15 @@ def _lex_argmax(
     _check_budget(k, n, what)
     m = next((j for j in range(n, -1, -1) if k ** (j + 1) <= _CHUNK_SIZE), 0)
     low = _lex_onehot(k, m)
-    T = low
-    if m < n:
-        T = np.empty((k, low.shape[1], n))
-        T[:, :, n - m :] = low
+    if m == n:  # one chunk: the cached table itself
+        values, details = score(low)
+        i = int(values.argmax())
+        return low[:, i, :].argmax(axis=0), float(values[i]), details[i].copy()
+    T = np.empty((k, low.shape[1], n))
+    T[:, :, n - m :] = low
     best = None
     for prefix in itertools.product(range(k), repeat=n - m):
-        if prefix:
-            T[:, :, : n - m] = (np.arange(k)[:, None] == prefix)[:, None, :]
+        T[:, :, : n - m] = (np.arange(k)[:, None] == prefix)[:, None, :]
         values, details = score(T)
         i = int(np.argmax(values))
         if best is None or values[i] > best[1]:
@@ -245,7 +246,7 @@ def pm_lmo(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
         # const one message at a time, in message order.
         D = T @ diff
         np.maximum(D, 0.0, out=D)
-        vals = D.sum(axis=2).sum(axis=0, initial=const)
+        vals = np.add.reduce(np.add.reduce(D, axis=2), axis=0, initial=const)
         return vals, T.swapaxes(0, 1)  # row i: the encoding's d message masks
 
     f, _, masks = _lex_argmax(d, n_x, score, "encodings")
@@ -302,17 +303,20 @@ def _pm_lmo_over_responses(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
     tail = hb.take(S[0], axis=0)
     for column in S[1:]:
         np.maximum(tail, hb.take(column, axis=0), out=tail)
-    best = None
-    for prefix in itertools.combinations_with_replacement(range(len(R)), p):
-        lo = start[prefix[-1]] if prefix else 0
-        scores = tail[lo:]
-        if prefix:
-            scores = np.maximum(scores, hb.take(prefix, axis=0).max(axis=0))
-        values = scores.sum(axis=1)
+    if p == 0:  # one chunk: every table is a column of S
+        values = np.add.reduce(tail, axis=1)
         i = int(values.argmax())
-        if best is None or values[i] > best[1]:
-            best = ([*prefix, *S[:, lo + i].tolist()], float(values[i]))
-    table, value = best
+        table, value = S[:, i].tolist(), float(values[i])
+    else:
+        best = None
+        for prefix in itertools.combinations_with_replacement(range(len(R)), p):
+            lo = start[prefix[-1]]
+            scores = np.maximum(tail[lo:], hb.take(prefix, axis=0).max(axis=0))
+            values = np.add.reduce(scores, axis=1)
+            i = int(values.argmax())
+            if best is None or values[i] > best[1]:
+                best = ([*prefix, *S[:, lo + i].tolist()], float(values[i]))
+        table, value = best
     f = hb.take(table, axis=0).argmax(axis=0)  # as scored, so ties break the same way
     return _pm_strategy(f, R.take(table, axis=0).astype(np.intp)), value
 
@@ -442,7 +446,10 @@ class _Corral:
     invertible exactly while S is affinely independent, and the affine
     minimiser over aff(S) is proportional to F^T F 1.  An entering row
     borders F with one row and a leaving one is reflected out of it, so a
-    step costs O(s D + s^2), is stable, and re-solves nothing.
+    step costs O(s D + s^2), is stable, and re-solves nothing.  The residual
+    r = p - x and the quantities read from it (_residual) always belong to
+    the current x.  The arrays are small, so the products use ndarray.dot:
+    the same BLAS calls as @, with less overhead per call.
     """
 
     def __init__(self, p: np.ndarray, rows: np.ndarray, w: np.ndarray) -> None:
@@ -457,6 +464,7 @@ class _Corral:
         self.V[:n] = rows
         self.X, self.R = np.empty((2, dim + 1, dim))
         self.W, self.F = np.empty(dim + 1), np.empty((dim + 1, dim + 1))
+        self.ones = np.ones(dim + 1)
         support = np.flatnonzero(w > 0.0)
         weights = w[support] / w[support].sum()
         self.s, self.support = len(support), support.tolist()
@@ -468,6 +476,7 @@ class _Corral:
             for i, weight in zip(support, weights):
                 self.enter(int(i), float(weight))
         self.x = self.W[: self.s] @ self.X[: self.s]
+        self._residual()
 
     def factor(self, R: np.ndarray) -> bool:
         """F = L^-1 for 1 1^T + R R^T = L L^T; False when R's rows are dependent.
@@ -505,9 +514,9 @@ class _Corral:
         factor alone 5e-10 and a float64 solve of the formed A_S 2e-9.
         """
         F, R = self.F[: self.s, : self.s], self.R[: self.s]
-        u = (F @ np.ones(self.s)) @ F
-        u += (F @ (1.0 - u.sum() - R @ (u @ R))) @ F
-        return u / u.sum()
+        u = F.dot(self.ones[: self.s]).dot(F)
+        u += F.dot(1.0 - np.add.reduce(u) - R.dot(u.dot(R))).dot(F)
+        return u / np.add.reduce(u)
 
     def border(self, i: int) -> np.ndarray | None:
         """Bring buffered row i into the support at weight 0 and border F.
@@ -515,19 +524,19 @@ class _Corral:
         When the row is an affine combination q @ (rows of S), as every row
         is once S has D + 1 rows, returns q and leaves the support as it was.
         """
-        s = self.s
+        s, F, R = self.s, self.F[: self.s, : self.s], self.R[: self.s]
         r = self.V[i] - self.p
-        b = self.R[:s] @ r
+        b = R.dot(r)
         b += 1.0
-        q = (self.F[:s, :s] @ b) @ self.F[:s, :s]  # A_S^-1 b
+        q = F.dot(b).dot(F)  # A_S^-1 b
         # The squared distance of (1, r) from the rows (1, R_j), from its
         # residual: unlike the Schur complement 1 + r @ r - b @ q it cannot
         # lose its digits to cancellation or turn negative.
-        left = r - q @ self.R[:s]
-        schur = (1.0 - q.sum()) ** 2 + float(left @ left)
-        if schur <= _DEPENDENT * (1.0 + float(r @ r)) or s == len(self.W):
+        left = r - q.dot(R)
+        schur = (1.0 - np.add.reduce(q)) ** 2 + float(left.dot(left))
+        if schur <= _DEPENDENT * (1.0 + float(r.dot(r))) or s == len(self.W):
             return q
-        root = np.sqrt(schur)
+        root = math.sqrt(schur)
         np.divide(q, -root, out=self.F[s, :s])
         self.F[:s, s] = 0.0
         self.F[s, s] = 1.0 / root
@@ -544,9 +553,10 @@ class _Corral:
         """
         s = self.s
         F = self.F[:s, :s]
-        v = F[:, j] / np.linalg.norm(F[:, j])
+        v = F[:, j].copy()
+        v /= math.sqrt(float(v.dot(v)))
         v[-1] += 1.0 if v[-1] >= 0.0 else -1.0
-        F -= v[:, None] * ((v @ F) / abs(v[-1]))
+        F -= v[:, None] * (v.dot(F) / abs(v[-1]))
         F[:, j : s - 1] = F[:, j + 1 : s]
         for a in (self.X, self.R, self.W):
             a[j : s - 1] = a[j + 1 : s]
@@ -572,38 +582,49 @@ class _Corral:
             self.drop(j)
         self.W[self.s - 1] = weight
 
-    def project(self) -> None:
+    def project(self, entering: int | None = None) -> None:
         """Wolfe's loop from the current weights until no buffered row improves.
 
         At the start and after each full affine step every buffered row is
         rescanned and the most improving one enters, so a dropped row can
         come back.  An affine minimiser outside the simplex is approached
-        until the first weight reaches zero, and that row leaves.
+        until the first weight reaches zero, and that row leaves.  Each
+        rescan keeps its residual, and a loop that runs out of steps
+        recomputes it, so on return the residual belongs to x.
+
+        entering names a buffered row that maximises the score against the
+        current residual, such as the oracle's vertex for it: that row enters
+        directly, without the first rescan, whose pick it would be.  It
+        enters only if it clears the rescan's bar, tested from its own score;
+        otherwise nothing changes.
         """
         stall = 0
         obj_prev = np.inf
-        rescan = True
+        if entering is not None:
+            if float(self.V[entering].dot(self.r)) <= self.bar:
+                return
+            obj_prev = self.obj
+            self.enter(entering)
+        rescan = entering is None
         for _ in range(64 * (self.k + 2)):
             if rescan:
-                g = self.x - self.p
-                obj = float(g @ g)
-                base = float(self.x @ g)
-                scores = self.V[: self.k] @ g
-                i_star = int(scores.argmin())
-                if float(scores[i_star]) >= base - 1e-13 * (1.0 + abs(base)):
+                self._residual()
+                scores = self.V[: self.k].dot(self.r)
+                i_star = int(scores.argmax())
+                if float(scores[i_star]) <= self.bar:
                     return
-                if obj >= obj_prev - 1e-15 * (1.0 + obj_prev):
+                if self.obj >= obj_prev - 1e-15 * (1.0 + obj_prev):
                     stall += 1
                     if stall >= 3:
                         return
                 else:
                     stall = 0
-                obj_prev = obj
+                obj_prev = self.obj
                 if i_star not in self.support:
                     self.enter(i_star)
             u = self.affine()
             w = self.W[: self.s]
-            lowest = float(u.min())
+            lowest = float(np.minimum.reduce(u))
             rescan = lowest >= -1e-12
             if lowest > 0.0:
                 w[:] = u
@@ -620,8 +641,17 @@ class _Corral:
                 for j in np.flatnonzero(w == 0.0)[::-1]:
                     self.drop(int(j))
                 w = self.W[: self.s]
-                w /= w.sum()
-            self.x = w @ self.X[: self.s]
+                w /= np.add.reduce(w)
+            self.x = w.dot(self.X[: self.s])
+        self._residual()
+
+    def _residual(self) -> None:
+        """The residual r = p - x, base = r @ x, obj = r @ r and the rescan's bar:
+        a row improves on x when its score row @ r exceeds bar."""
+        self.r = self.p - self.x
+        self.base = float(self.r.dot(self.x))
+        self.obj = float(self.r.dot(self.r))
+        self.bar = self.base + 1e-13 * (1.0 + abs(self.base))
 
 
 def _affine_weights(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -674,11 +704,19 @@ def fw_membership(
     residual, so an Outside run makes iterations + 2 exact oracle calls.
     eps_in must be positive, eps_out and max_iter nonnegative.
 
+    Each iteration asks the oracle for the corral's last residual, reads the
+    dual gap from that residual's base, and hands the new vertex to the
+    corral, which enters it without rescanning (_Corral.project).  The run
+    stops as "repeated_vertex" when the oracle returns a vertex row already
+    buffered: the repeat key is the row, not the strategy, since twins
+    (strategies that differ by a relabelling) share a row.
+
     A non-empty start (strategies of the same polytope, such as a previous
     verdict's strategies) warm-starts the run: they replace the oracle's
     vertex for the point as the first vertex set, which saves that call.
-    The corral begins with uniform weights over them, factored in one go
-    (null steps reduce a dependent set as its rows enter one by one).
+    The corral begins with uniform weights over them, each row once with
+    the weight of all its strategies, factored in one go (null steps reduce
+    a dependent set as its rows enter one by one).
     """
     if not (eps_in > 0.0 and eps_out >= 0.0 and max_iter >= 0):
         bad = f"{eps_in}, {eps_out}, {max_iter}"
@@ -691,30 +729,39 @@ def fw_membership(
         )
     gap_tol = 1e-12 * max(1.0, float(p @ p))
 
-    strategies = list(start) or [polytope.lmo(p)[0]]
-    rows = np.array([polytope.vertex(s) for s in strategies])
+    # A strategy is repeated when its vertex row is: twins (strategies that
+    # differ only by a relabelling) share a row and must not both enter.
+    strategies, rows, picks = [], [], []
+    seen = {}  # vertex row bytes -> buffer index
+    for strat in list(start) or [polytope.lmo(p)[0]]:
+        row = polytope.vertex(strat)
+        picks.append(seen.setdefault(row.tobytes(), len(rows)))
+        if picks[-1] == len(rows):
+            strategies.append(strat)
+            rows.append(row)
+    rows = np.array(rows)
     if rows.shape[1] != expected:
         raise ValueError(f"start strategies must have vertices of {expected} entries")
-    seen = set(strategies)
-    corral = _Corral(p, rows, np.ones(len(rows)))
+    corral = _Corral(p, rows, np.bincount(picks).astype(float))
     best = None  # oracle value at the residual p - x, once an iteration has one
     iterations = 0
     termination = "iteration_cap"
+    entering = None  # buffer index of the oracle's last vertex
     for iterations in range(1, max_iter + 1):
-        corral.project()
-        g = p - corral.x
-        strat, best = polytope.lmo(g)
-        if best - float(g @ corral.x) <= gap_tol:
+        corral.project(entering)
+        strat, best = polytope.lmo(corral.r)
+        if best - corral.base <= gap_tol:
             termination = "converged"
             break
-        if strat in seen:
+        row = polytope.vertex(strat)
+        if seen.setdefault(row.tobytes(), corral.k) != corral.k:
             termination = "repeated_vertex"
             break
         strategies.append(strat)
-        corral.add(polytope.vertex(strat))
-        seen.add(strat)
+        corral.add(row)
+        entering = corral.k - 1
 
-    direction = p - corral.x
+    direction = corral.r
     dist = float(np.linalg.norm(direction))
     w = corral.weights()
     keep = w > 1e-12

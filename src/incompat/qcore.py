@@ -13,6 +13,7 @@ check_unbiased() the first biased measurement.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -52,6 +53,15 @@ def frozen(x, dtype=float) -> np.ndarray:
     return arr
 
 
+_SCALARS = (str, int, float)  # JSON scalars other than null, bool among the ints
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """The names of a dataclass's fields, in order, looked up once per class."""
+    return tuple(f.name for f in fields(cls))
+
+
 class _Record:
     """Base of the frozen dataclass records; each array they hold comes from
     frozen.  A record with an array field is declared eq=False and compares
@@ -60,7 +70,7 @@ class _Record:
     keys are not its fields builds its JSON object with _dict instead."""
 
     def _key(self) -> tuple:
-        values = (getattr(self, f.name) for f in fields(self))
+        values = (getattr(self, name) for name in _field_names(type(self)))
         return tuple(
             (v.shape, *v.ravel().tolist()) if isinstance(v, np.ndarray) else v for v in values
         )
@@ -72,7 +82,7 @@ class _Record:
         return hash(self._key())
 
     def to_json_dict(self) -> dict:
-        return {f.name: self._json(getattr(self, f.name)) for f in fields(self)}
+        return {name: self._json(getattr(self, name)) for name in _field_names(type(self))}
 
     @staticmethod
     def _dict(*pairs) -> dict:
@@ -82,17 +92,21 @@ class _Record:
     @staticmethod
     def _json(value):
         """Arrays, tuples and operator lists as lists, records as dicts, else as is."""
+        if value is None or isinstance(value, _SCALARS):  # the most common
+            return value
+        if isinstance(value, tuple):  # its scalars are listed without a call each
+            return [v if isinstance(v, _SCALARS) else _Record._json(v) for v in value]
         if isinstance(value, _Record):
             return value.to_json_dict()
         if isinstance(value, np.ndarray):
             return value.tolist()
-        if isinstance(value, _OperatorList):
-            return value.to_json_list()
-        return [_Record._json(v) for v in value] if isinstance(value, tuple) else value
+        return value.to_json_list() if isinstance(value, _OperatorList) else value
 
 
 def _as_vec3(v: Iterable[float]) -> np.ndarray:
-    arr = np.asarray(tuple(v), dtype=float)
+    """v as a float array of shape (3,); an array is read as is, any other iterable
+    (a generator too) as its tuple.  The result may share the caller's array."""
+    arr = np.asarray(v if isinstance(v, np.ndarray) else tuple(v), dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"expected a real 3-vector, got shape {arr.shape}")
     return arr

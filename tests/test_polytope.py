@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -260,6 +261,15 @@ def _random_vertex_set(rng, kind):
     return rows[rng.permutation(len(rows))]
 
 
+def _corral_state(corral):
+    """Everything a corral's next step reads, arrays by their bytes."""
+    s, k = corral.s, corral.k
+    arrays = (corral.V[:k], corral.X[:s], corral.R[:s], corral.W[:s], corral.F[:s, :s],
+              corral.x, corral.r)
+    return (s, k, list(corral.support), corral.base, corral.obj,
+            *(a.tobytes() for a in arrays))
+
+
 def _nnls_distance(rows, p):
     """Distance from p to the hull of the rows by Lawson-Hanson NNLS.
 
@@ -320,6 +330,43 @@ class TestInnerProjection:
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.allclose(x, w @ rows, rtol=0.0, atol=1e-15)
             assert abs(np.linalg.norm(x - p) - _nnls_distance(rows, p)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["plain", "duplicates", "dependent"])
+    def test_entering_row_skips_only_the_first_rescan(self, kind):
+        # Buffer some rows, project, then add one more: entering it directly
+        # gives the bits of a full rescan when it strictly maximises the
+        # residual score, and leaves the corral alone when it does not clear
+        # the rescan's threshold.
+        rng = np.random.default_rng(40 + ["plain", "duplicates", "dependent"].index(kind))
+        same = unchanged = 0
+        for _ in range(200):
+            rows = _random_vertex_set(rng, kind)
+            if len(rows) < 2:
+                continue
+            p = rng.uniform(-0.5, 1.5, size=rows.shape[1])
+            m = int(rng.integers(1, len(rows)))
+            start = np.zeros(m)
+            start[0] = 1.0
+            corral = polytope._Corral(p, rows[:m], start)
+            corral.project()
+            row = rows[m]
+            score, others = row @ corral.r, corral.V[: corral.k] @ corral.r
+            cleared = score > corral.base + 1e-13 * (1.0 + abs(corral.base))
+            rescanned, entered = copy.deepcopy(corral), copy.deepcopy(corral)
+            rescanned.add(row)
+            rescanned.project()
+            entered.add(row)
+            before = copy.deepcopy(entered)
+            entered.project(entering=entered.k - 1)
+            if not cleared:
+                assert _corral_state(entered) == _corral_state(before)
+                unchanged += 1
+            elif score > others.max():
+                assert entered.weights().tobytes() == rescanned.weights().tobytes()
+                assert entered.x.tobytes() == rescanned.x.tobytes()
+                assert entered.r.tobytes() == rescanned.r.tobytes()
+                same += 1
+        assert same > 20 and unchanged > 20
 
     def test_affine_weights_match_exact_solve(self):
         rng = np.random.default_rng(34)
@@ -476,6 +523,72 @@ class TestFWMembership:
         verdict = fw_membership(TSIRELSON, Repeating(2, 2))
         assert (verdict.status, verdict.termination) == ("undecided", "repeated_vertex")
         assert verdict.iterations == 1
+
+
+def _twin(strategy):
+    """Another strategy with the same vertex: Bell (-alpha, -beta), or a
+    two-message PM encoding relabelled (f -> 1 - f, g's rows swapped)."""
+    if isinstance(strategy, SignAssignment):
+        return SignAssignment(tuple(-a for a in strategy.alpha), tuple(-b for b in strategy.beta))
+    return PMStrategy(tuple(1 - a for a in strategy.f), strategy.g[::-1])
+
+
+def _twinning(base):
+    """An oracle that answers with its first vertex, then with that vertex's
+    twin at an inflated value."""
+
+    class Twinning(base):
+        first = None
+
+        def lmo(self, M):
+            strategy, value = super().lmo(M)
+            if self.first is None:
+                self.first = strategy
+                return strategy, value
+            return _twin(self.first), value + 1.0
+
+    return Twinning
+
+
+@pytest.fixture
+def distinct_buffer(monkeypatch):
+    """Check on every projection that the corral buffers no row twice."""
+    project = polytope._Corral.project
+
+    def checked(corral, entering=None):
+        buffered = corral.V[: corral.k]
+        assert len(np.unique(buffered, axis=0)) == corral.k
+        project(corral, entering)
+
+    monkeypatch.setattr(polytope._Corral, "project", checked)
+
+
+class TestTwins:
+    @pytest.mark.parametrize(
+        "poly, point",
+        [(_twinning(BellPolytope)(2, 2), TSIRELSON),
+         (_twinning(PMPolytope)(2, 3, 2), np.full((3, 2, 2), 0.5) + [0.3, -0.3])],
+        ids=["bell", "pm"],
+    )
+    def test_a_twin_of_a_buffered_vertex_is_a_repeat(self, poly, point, distinct_buffer):
+        verdict = fw_membership(point, poly)
+        assert _twin(poly.first) != poly.first
+        assert poly.vertex(_twin(poly.first)).tolist() == poly.vertex(poly.first).tolist()
+        assert (verdict.termination, verdict.iterations) == ("repeated_vertex", 1)
+        assert verdict.strategies == (poly.first,)
+
+    def test_twins_in_the_start_enter_once_at_their_share(self, distinct_buffer):
+        poly = PMPolytope(2, 3, 2)
+        a, b = PMStrategy((0, 1, 1), ((0, 1), (1, 1))), PMStrategy((0, 0, 1), ((1, 0), (0, 0)))
+        start = [a, _twin(a), b]
+        point = np.full(poly.point_shape, 2.0)
+        verdict = fw_membership(point, poly, start=start, max_iter=0)
+        assert verdict.strategies == (a, b)
+        mean = np.mean([poly.vertex(s) for s in start], axis=0)
+        expected = float(np.linalg.norm(point.ravel() - mean))
+        assert verdict.distance_upper == pytest.approx(expected, rel=1e-15)
+        inside = fw_membership((2 * a.row + b.row) / 3, poly, start=start)
+        assert inside.is_inside and set(inside.strategies) <= {a, b}
 
 
 class TestPMStrategyVector:

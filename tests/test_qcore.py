@@ -38,6 +38,7 @@ from incompat.qcore import (
     trace_product,
     transpose,
     validate,
+    _as_vec3,
 )
 
 
@@ -196,6 +197,32 @@ class TestTranspose:
     def test_matches_dense_transpose(self):
         op = QubitOperator(0.3, (0.1, -0.7, 0.4))
         assert np.allclose(transpose(op).matrix(), op.matrix().T, atol=1e-15)
+
+
+class TestVec3:
+    @pytest.mark.parametrize(
+        "make", [list, tuple, lambda v: (x for x in v), np.array],
+        ids=["list", "tuple", "generator", "ndarray"],
+    )
+    def test_every_iterable_gives_the_same_array(self, make):
+        values = (0.1, -0.7, 0.4)
+        arr = _as_vec3(make(values))
+        assert arr.dtype == np.float64 and arr.tolist() == list(values)
+
+    def test_an_integer_array_becomes_float(self):
+        arr = _as_vec3(np.array([1, 0, -2]))
+        assert arr.dtype == np.float64 and arr.tolist() == [1.0, 0.0, -2.0]
+
+    @pytest.mark.parametrize(
+        "v, shape",
+        [((1.0, 2.0), "(2,)"), (np.zeros(4), "(4,)"), (np.zeros((3, 1)), "(3, 1)"),
+         ((x for x in range(2)), "(2,)"), ([[1.0, 2.0, 3.0]], "(1, 3)")],
+        ids=["pair", "array4", "column", "generator", "nested"],
+    )
+    def test_a_wrong_shape_raises(self, v, shape):
+        message = f"expected a real 3-vector, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _as_vec3(v)
 
 
 class TestValidate:
