@@ -204,15 +204,14 @@ def _lex_argmax(
     _check_budget(k, n, what)
     m = next((j for j in range(n, -1, -1) if k ** (j + 1) <= _CHUNK_SIZE), 0)
     low = _lex_onehot(k, m)
-    if m == n:  # one chunk: the cached table itself
-        values, details = score(low)
-        i = int(values.argmax())
-        return low[:, i, :].argmax(axis=0), float(values[i]), details[i].copy()
-    T = np.empty((k, low.shape[1], n))
-    T[:, :, n - m :] = low
+    T = low
+    if m < n:
+        T = np.empty((k, low.shape[1], n))
+        T[:, :, n - m :] = low
     best = None
     for prefix in itertools.product(range(k), repeat=n - m):
-        T[:, :, : n - m] = (np.arange(k)[:, None] == prefix)[:, None, :]
+        if prefix:
+            T[:, :, : n - m] = (np.arange(k)[:, None] == prefix)[:, None, :]
         values, details = score(T)
         i = int(np.argmax(values))
         if best is None or values[i] > best[1]:
@@ -303,20 +302,17 @@ def _pm_lmo_over_responses(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
     tail = hb.take(S[0], axis=0)
     for column in S[1:]:
         np.maximum(tail, hb.take(column, axis=0), out=tail)
-    if p == 0:  # one chunk: every table is a column of S
-        values = np.add.reduce(tail, axis=1)
+    best = None
+    for prefix in itertools.combinations_with_replacement(range(len(R)), p):
+        lo = start[prefix[-1]] if prefix else 0
+        scores = tail[lo:]
+        if prefix:
+            scores = np.maximum(scores, hb.take(prefix, axis=0).max(axis=0))
+        values = scores.sum(axis=1)
         i = int(values.argmax())
-        table, value = S[:, i].tolist(), float(values[i])
-    else:
-        best = None
-        for prefix in itertools.combinations_with_replacement(range(len(R)), p):
-            lo = start[prefix[-1]]
-            scores = np.maximum(tail[lo:], hb.take(prefix, axis=0).max(axis=0))
-            values = np.add.reduce(scores, axis=1)
-            i = int(values.argmax())
-            if best is None or values[i] > best[1]:
-                best = ([*prefix, *S[:, lo + i].tolist()], float(values[i]))
-        table, value = best
+        if best is None or values[i] > best[1]:
+            best = ([*prefix, *S[:, lo + i].tolist()], float(values[i]))
+    table, value = best
     f = hb.take(table, axis=0).argmax(axis=0)  # as scored, so ties break the same way
     return _pm_strategy(f, R.take(table, axis=0).astype(np.intp)), value
 
@@ -477,6 +473,7 @@ class _Corral:
                 self.enter(int(i), float(weight))
         self.x = self.W[: self.s] @ self.X[: self.s]
         self._residual()
+        self.settled = False
 
     def factor(self, R: np.ndarray) -> bool:
         """F = L^-1 for 1 1^T + R R^T = L L^T; False when R's rows are dependent.
@@ -590,28 +587,35 @@ class _Corral:
         come back.  An affine minimiser outside the simplex is approached
         until the first weight reaches zero, and that row leaves.  Each
         rescan keeps its residual, and a loop that runs out of steps
-        recomputes it, so on return the residual belongs to x.
+        recomputes it, so on return the residual belongs to x.  settled
+        records whether the loop ended at the bar, with no buffered row
+        clearing it.
 
-        entering names a buffered row that maximises the score against the
-        current residual, such as the oracle's vertex for it: that row enters
-        directly, without the first rescan, whose pick it would be.  It
-        enters only if it clears the rescan's bar, tested from its own score;
-        otherwise nothing changes.
+        entering names the buffered row added since a settled return that
+        maximises the score against the residual, such as the oracle's
+        vertex for it: every other row is at or below the bar, so the first
+        rescan would pick it, and it enters directly without that rescan.  It
+        enters only if it clears the bar, tested from its own score;
+        otherwise nothing changes.  After a stall or running out of steps an
+        older row may still clear the bar, so the loop rescans as usual.
         """
         stall = 0
         obj_prev = np.inf
-        if entering is not None:
+        rescan = True
+        if entering is not None and self.settled:
             if float(self.V[entering].dot(self.r)) <= self.bar:
                 return
             obj_prev = self.obj
             self.enter(entering)
-        rescan = entering is None
+            rescan = False
+        self.settled = False
         for _ in range(64 * (self.k + 2)):
             if rescan:
                 self._residual()
                 scores = self.V[: self.k].dot(self.r)
                 i_star = int(scores.argmax())
                 if float(scores[i_star]) <= self.bar:
+                    self.settled = True
                     return
                 if self.obj >= obj_prev - 1e-15 * (1.0 + obj_prev):
                     stall += 1
@@ -706,10 +710,12 @@ def fw_membership(
 
     Each iteration asks the oracle for the corral's last residual, reads the
     dual gap from that residual's base, and hands the new vertex to the
-    corral, which enters it without rescanning (_Corral.project).  The run
-    stops as "repeated_vertex" when the oracle returns a vertex row already
-    buffered: the repeat key is the row, not the strategy, since twins
-    (strategies that differ by a relabelling) share a row.
+    corral, which enters it without rescanning when its last projection
+    settled (_Corral.project).  Every oracle answer that does not converge
+    is turned into its vertex row, once, and the run stops as
+    "repeated_vertex" when that row is already buffered: the repeat key is
+    the row, not the strategy, since twins (strategies that differ by a
+    relabelling) share a row.
 
     A non-empty start (strategies of the same polytope, such as a previous
     verdict's strategies) warm-starts the run: they replace the oracle's

@@ -368,6 +368,42 @@ class TestInnerProjection:
                 same += 1
         assert same > 20 and unchanged > 20
 
+    @pytest.mark.parametrize("state", ["fresh", "stalled"])
+    def test_an_unsettled_corral_rescans_before_entering(self, state):
+        # A corral that has not settled at the bar (never projected, or
+        # ended by a stall) may hold rows that clear it.  The added row ties
+        # the best of them, so a rescan picks the older row, and entering
+        # must give the bits of that rescan.
+        rng = np.random.default_rng(["fresh", "stalled"].index(state) + 50)
+        checked = 0
+        for _ in range(100):
+            rows = _random_vertex_set(rng, "plain")
+            if len(rows) < 2:
+                continue
+            p = rng.uniform(-0.5, 1.5, size=rows.shape[1])
+            start = np.zeros(len(rows))
+            start[0] = 1.0
+            corral = polytope._Corral(p, rows, start)
+            if state == "stalled":
+                # affine steps that keep the weights leave x where it is
+                corral.affine = lambda: corral.W[: corral.s].copy()
+                corral.project()
+                del corral.affine
+                if corral.settled:  # no row cleared the bar: nothing to stall on
+                    continue
+            assert not corral.settled
+            scores = corral.V[: corral.k] @ corral.r
+            if scores.max() <= corral.bar:
+                continue
+            rescanned, entered = copy.deepcopy(corral), copy.deepcopy(corral)
+            for c in (rescanned, entered):
+                c.add(rows[int(scores.argmax())])
+            rescanned.project()
+            entered.project(entering=entered.k - 1)
+            assert _corral_state(entered) == _corral_state(rescanned)
+            checked += 1
+        assert checked > 20
+
     def test_affine_weights_match_exact_solve(self):
         rng = np.random.default_rng(34)
         checked = 0
@@ -979,14 +1015,15 @@ class TestPersistentCorral:
             assert warm.status == fw_membership(moved, poly).status
         assert len(fresh_solve_check) > 100 and max(fresh_solve_check) > 10
 
-    def test_duplicated_start_row(self, fresh_solve_check):
+    def test_duplicated_start_row(self, fresh_solve_check, distinct_buffer):
         rng = np.random.default_rng(31)
         poly = PMPolytope(2, 3, 2)
         strategies = list(enumerate_pm_strategies(2, 3, 2))
         for _ in range(10):
             picked = [strategies[i] for i in rng.choice(len(strategies), size=8, replace=False)]
             point = rng.dirichlet(np.ones(5)) @ np.array([s.row for s in picked[3:]])
-            # the first row again, after two others: it enters by a null step
+            # the first row again, after two others: it merges into the first
+            # row at twice the weight and is never buffered twice
             verdict = fw_membership(point, poly, start=picked[:3] + picked[:1])
             assert verdict.is_inside and verdict.reconstruction_error < 1e-9
         assert max(fresh_solve_check) >= 5
