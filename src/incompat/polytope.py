@@ -157,8 +157,15 @@ class MembershipVerdict(_Record):
 
 
 # One-hot entries per column of a chunk: a chunk over k values has at most
-# _CHUNK_SIZE // k rows.  This constant fixes the exact oracles' memory.
-_CHUNK_SIZE = 1 << 16
+# _CHUNK_SIZE // k rows.  This constant fixes the exact oracles' memory: at
+# 2^14 a chunk over {0, 1} has 2^13 rows, so a chunk, its cached low-digit
+# table and the score's products fit in a 4 MiB L2 cache.  A row's score is
+# the same at any chunk size up to the BLAS: OpenBLAS takes a product of
+# fewer than 10^6 multiply-adds through a small-matrix kernel, which on
+# AVX-512 sums 16 or more columns in another order.  So the scores of a
+# direct pm_lmo call with d = 2, n_x >= 16 and n_y <= 7 can depend on this
+# constant; PMPolytope's encoding route never has that shape.
+_CHUNK_SIZE = 1 << 14
 
 
 @functools.lru_cache(maxsize=8)
@@ -166,7 +173,8 @@ def _lex_onehot(k: int, m: int) -> np.ndarray:
     """{0..k-1}^m in lexicographic order as a read-only one-hot float64 table.
 
     Entry [a, i, j] is 1.0 when row i has digit a at position j.  Callers keep
-    k^(m+1) <= _CHUNK_SIZE, so a table is at most 8 MB and the cache 63 MB.
+    k^(m+1) <= _CHUNK_SIZE, so a table is at most about 1.7 MB (k = 2,
+    m = 13) and the cache about 14 MB.
     """
     digits = np.empty((k**m, m), dtype=np.intp)
     idx = np.arange(k**m)
@@ -199,7 +207,8 @@ def _lex_argmax(
     Returns the winning digits, value and that array's row; ties go to the
     first row.  A call holds one chunk and what score builds from it, so for
     k <= _CHUNK_SIZE its memory is a small multiple of _CHUNK_SIZE times the
-    widest per-row array, whatever k^n is.
+    widest per-row array, whatever k^n is: over {0, 1} a chunk of 2^13 rows
+    and n = 16 columns is about 2.1 MB.
     """
     _check_budget(k, n, what)
     m = next((j for j in range(n, -1, -1) if k ** (j + 1) <= _CHUNK_SIZE), 0)
@@ -264,7 +273,9 @@ def _sorted_tables(k: int, d: int) -> tuple[int, np.ndarray, np.ndarray]:
     (p = d - 1 if no p has).  In lexicographic order the non-decreasing
     d-tuples are the non-decreasing p-tuples, each followed by the columns
     S[:, start[i]:], those whose first entry is at least the prefix's last
-    entry i (all of S for the empty prefix).
+    entry i (all of S for the empty prefix).  For the response route's
+    k <= _CHUNK_SIZE // 2, p = d - 1 always qualifies, so S has at most
+    _CHUNK_SIZE // 2 columns of d - p entries.
     """
     p = next((p for p in range(d) if math.comb(k + d - p - 1, d - p) <= _CHUNK_SIZE // 2), d - 1)
     S = frozen(list(zip(*itertools.combinations_with_replacement(range(k), d - p))), np.intp)
@@ -284,13 +295,18 @@ def _pm_lmo_over_responses(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
     kept is the first over all tables (outcome 0 before 1); each x then takes
     the lowest best message.
 
-    When d >= 2, as whenever PMPolytope takes this route, the budget keeps
-    2^n_y below its square root, so hb and R are small and one prefix's
-    chunk scores at most _CHUNK_SIZE // 2 tables; a d = 1 call holds all
-    2^n_y rows at once.
+    R is the whole table _lex_onehot(2, n_y), so 2^(n_y + 1) must not exceed
+    _CHUNK_SIZE; a larger n_y raises EnumerationBudgetError.  Only a direct
+    d = 1 call can get there: when d >= 2, as whenever PMPolytope takes this
+    route, the budget keeps n_y <= 11.  One prefix's chunk scores at most
+    _CHUNK_SIZE // 2 tables.
     """
     n_x, n_y, _ = M.shape
     _check_budget(2, d * n_y, "response tables")
+    if 2 ** (n_y + 1) > _CHUNK_SIZE:
+        raise EnumerationBudgetError(
+            f"2^{n_y} response rows exceed one chunk of {_CHUNK_SIZE // 2} rows"
+        )
     R = _lex_onehot(2, n_y)[1]  # the 2^n_y response rows as 0/1 floats
     p, S, start = _sorted_tables(len(R), d)
     # Rounding is monotone, so adding base before the maximum over messages

@@ -208,13 +208,23 @@ def _traced_peak(fn) -> int:
 class TestChunkedEnumeration:
     """Enumerations longer than one chunk keep the first exact maximiser."""
 
+    @staticmethod
+    def _second_chunk_prefix():
+        """The high digits, over 17 digits in {0, 1}, that pick the second chunk."""
+        rows = polytope._CHUNK_SIZE // 2  # rows in one chunk over {0, 1}
+        high = 17 - (rows.bit_length() - 1)  # digits fixed per chunk
+        assert high >= 2, "a second chunk that starts with digit 0 needs two high digits"
+        return (0,) * (high - 1) + (1,)
+
     def test_bell_maximiser_in_second_chunk(self):
         rng = np.random.default_rng(31)
         u = rng.integers(1, 5, size=17) * rng.choice([-1, 1], size=17)
         v = rng.integers(1, 5, size=17) * rng.choice([-1, 1], size=17)
-        u[0], u[1] = abs(u[0]), -abs(u[1])
+        prefix = self._second_chunk_prefix()
+        u[: len(prefix)] = np.where(prefix, -1, 1) * abs(u[: len(prefix)])
         # alpha = sign(u) and its negation are the only maximisers; +1 comes
-        # first, so sign(u) wins, and its leading (+1, -1) is the second chunk.
+        # first, so sign(u) wins, and its leading (+1, ..., +1, -1) is the
+        # second chunk.
         alpha = tuple(int(s) for s in np.sign(u))
         beta = tuple(int(s) for s in np.sign(v))
         rows = polytope._CHUNK_SIZE // 2  # rows in one chunk over {0, 1}
@@ -226,7 +236,8 @@ class TestChunkedEnumeration:
     def test_pm_maximiser_in_second_chunk(self):
         # Every x prefers one outcome; only encodings that split the two
         # groups serve all of them, and of f and 1 - f the lower one wins.
-        f = tuple(1 if x in (1, 4, 5, 11, 16) else 0 for x in range(17))
+        prefix = self._second_chunk_prefix()
+        f = prefix + tuple(1 if x in (4, 5, 11, 16) else 0 for x in range(len(prefix), 17))
         rows = polytope._CHUNK_SIZE // 2  # rows in one chunk over {0, 1}
         assert rows <= _row_index(f) < 2 * rows
         M = np.full((17, 1, 2), -1.0)
@@ -245,6 +256,89 @@ class TestChunkedEnumeration:
         assert oracle._use_g_route  # 2^18 response tables
         M = np.random.default_rng(33).normal(size=oracle.point_shape)
         assert _traced_peak(lambda: oracle.lmo(M)) <= 128 * 2**20
+
+    def test_witness_recheck_memory_fits_in_cache(self):
+        # certify re-checks a PM witness on the doubled ensemble, 16 states
+        # at N = 8, and Bell certificates of up to 20 x 20; both from cold
+        # table caches, so the peak counts the low-digit table too
+        rng = np.random.default_rng(35)
+        M = rng.normal(size=(16, 5, 2))
+        _clear_table_caches()
+        assert _traced_peak(lambda: pm_lmo(M, 2)) < 8 * 2**20
+        M = rng.normal(size=(20, 20))
+        _clear_table_caches()
+        assert _traced_peak(lambda: bell_lmo(M)) < 12 * 2**20
+
+    def test_response_route_takes_one_chunk_of_response_rows(self):
+        # R holds all 2^n_y response rows, so a direct d = 1 call past one
+        # chunk raises instead of building a table of 2^(n_y + 1) columns
+        n_y = polytope._CHUNK_SIZE.bit_length() - 2  # 2^(n_y + 1) == _CHUNK_SIZE
+        M = np.random.default_rng(36).integers(-2, 3, size=(3, n_y, 2)).astype(float)
+        assert polytope._pm_lmo_over_responses(M, 1)[1] == pm_lmo(M, 1)[1]
+        M = np.zeros((3, n_y + 1, 2))
+        with pytest.raises(EnumerationBudgetError, match=r"^2\^\d+ response rows exceed one chunk"):
+            polytope._pm_lmo_over_responses(M, 1)
+
+
+def _clear_table_caches():
+    polytope._lex_onehot.cache_clear()
+    polytope._sorted_tables.cache_clear()
+
+
+class TestChunkSizeInvariance:
+    """The chunk size sets memory only: strategies and values stay the same.
+
+    Integer-valued coefficients make every sum exact, so the comparison holds
+    on any BLAS.  Each shape walks several chunks at the package's chunk size.
+    """
+
+    SIZES = (1 << 16, polytope._CHUNK_SIZE)
+
+    @pytest.fixture
+    def results_at_each_size(self, monkeypatch):
+        def run(oracle, coefficients):
+            results = []
+            for size in self.SIZES:
+                monkeypatch.setattr(polytope, "_CHUNK_SIZE", size)
+                _clear_table_caches()
+                results.append([oracle(M) for M in coefficients])
+            return results
+
+        yield run
+        _clear_table_caches()
+
+    @staticmethod
+    def _integer_draws(rng, shape, mirror):
+        """A plain draw and one whose second half mirrors the first."""
+        plain, M = rng.integers(-2, 3, size=(2, *shape)).astype(float)
+        half = shape[0] // 2
+        M[half : 2 * half] = mirror(M[:half])
+        return [plain, M]
+
+    @pytest.mark.parametrize("d, n_x, n_y", [(2, 16, 5), (2, 17, 2), (3, 10, 6), (4, 7, 3)])
+    def test_encoding_route(self, results_at_each_size, d, n_x, n_y):
+        rng = np.random.default_rng(100 * d + n_x)
+        # certify's doubled witnesses: each twin has its outcomes swapped
+        draws = self._integer_draws(rng, (n_x, n_y, 2), lambda half: half[:, :, ::-1])
+        wide, narrow = results_at_each_size(lambda M: pm_lmo(M, d), draws)
+        assert narrow == wide
+
+    @pytest.mark.parametrize("n_x", [8, 20])
+    def test_response_route_at_seven_settings(self, results_at_each_size, n_x):
+        # 2^7 response rows give C(129, 2) = 8256 sorted pairs: one block at
+        # 2^16, one block per first row at 2^14
+        rng = np.random.default_rng(200 + n_x)
+        draws = self._integer_draws(rng, (n_x, 7, 2), lambda half: half[:, :, ::-1])
+        wide, narrow = results_at_each_size(lambda M: polytope._pm_lmo_over_responses(M, 2), draws)
+        assert narrow == wide
+
+    @pytest.mark.parametrize("shape", [(14, 14), (16, 16), (15, 18), (18, 15)])
+    def test_sign_route(self, results_at_each_size, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        # a doubled Bell witness: the second half's rows negate the first's
+        draws = self._integer_draws(rng, shape, lambda half: -half)
+        wide, narrow = results_at_each_size(bell_lmo, draws)
+        assert narrow == wide
 
 
 def _random_vertex_set(rng, kind):
@@ -892,7 +986,7 @@ def _assert_row_is_the_vector(strategy):
 class TestOnePassOracles:
     """Both PM routes against their per-message, per-entry reference forms."""
 
-    # (d, n_x, n_y, calls); (2, 17, 2) and (3, 10, 2) walk four and three
+    # (d, n_x, n_y, calls); (2, 17, 2) and (3, 10, 2) walk 16 and 27
     # encoding chunks; the d = 2 shapes with n_x = 8 and 16 are those of the
     # seesaw_certify benchmark
     SHAPES = [(2, 3, 2, 40), (2, 8, 3, 40), (3, 5, 2, 40), (4, 4, 2, 20), (2, 6, 5, 20),
