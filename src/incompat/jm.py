@@ -322,11 +322,17 @@ def decide(a: Assemblage, max_iter: int = 5000, tol: float = 1e-9) -> JMVerdict:
     return jm_feasibility(a, max_iter=max_iter, tol=tol)
 
 
+def _vnorm(rows: np.ndarray) -> np.ndarray:
+    """|v| of each row (s, vx, vy, vz): np.linalg.norm's own arithmetic, without its overhead."""
+    v = rows[:, 1:]
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
 def _cone_project(rows: np.ndarray) -> np.ndarray:
     """Project rows (s, vx, vy, vz) onto the PSD (ice-cream) cone |v| <= s."""
     out = rows.copy()
     s = rows[:, 0]
-    r = np.linalg.norm(rows[:, 1:], axis=1)
+    r = _vnorm(rows)
     inside = s >= r
     below = s <= -r
     boundary = ~inside & ~below
@@ -340,9 +346,7 @@ def _cone_project(rows: np.ndarray) -> np.ndarray:
 
 
 def _cone_violation(rows: np.ndarray) -> float:
-    s = rows[:, 0]
-    r = np.linalg.norm(rows[:, 1:], axis=1)
-    return float(np.max(np.maximum(r - s, 0.0)))
+    return float(np.max(np.maximum(_vnorm(rows) - rows[:, 0], 0.0)))
 
 
 def _gap_witness(
@@ -392,8 +396,9 @@ def jm_feasibility(
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        y_cone = _cone_project(x + correction)
-        correction = x + correction - y_cone
+        shifted = x + correction
+        y_cone = _cone_project(shifted)
+        correction = shifted - y_cone
         r = incidence @ y_cone - targets
         d = pinv @ r
         x = y_cone - d

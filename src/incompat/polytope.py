@@ -283,7 +283,7 @@ def _sorted_tables(k: int, d: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def _pm_lmo_over_responses(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
-    """Exact PM maximum by enumerating response tables g, 2^(d n_y) of them.
+    """Exact PM maximum over the response tables g, C(2^n_y + d - 1, d) of them.
 
     For fixed g every x sends its best message, so a table scores
     sum_x max_a hb[g[a], x], where row r of hb = R @ delta + base, computed
@@ -292,8 +292,8 @@ def _pm_lmo_over_responses(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
     messages, which permutes g's rows, changes no bit of a score.  Only the
     table of each class whose row indices do not decrease, the class's first
     in lexicographic order, is scored, in that order, so the first maximiser
-    kept is the first over all tables (outcome 0 before 1); each x then takes
-    the lowest best message.
+    kept is the first over all 2^(d n_y) tables (outcome 0 before 1); each x
+    then takes the lowest best message.  The budget still counts all of them.
 
     R is the whole table _lex_onehot(2, n_y), so 2^(n_y + 1) must not exceed
     _CHUNK_SIZE; a larger n_y raises EnumerationBudgetError.  Only a direct
@@ -400,26 +400,32 @@ class _Adapter:
 class PMPolytope(_Adapter):
     """LMO adapter for the PM_d behaviour polytope of a fixed scenario shape.
 
-    Internally picks whichever exact enumeration is cheaper for the shape:
-    over encodings f (d^n_x candidates, the reference route) or over response
-    tables g (2^(d n_y) candidates, each x then picking its best message; only
-    one table per relabelling of the messages is scored, which returns the
-    same bits as scoring all of them).  Both return exact maxima; only
-    tie-breaking among equally good vertices differs, and each route is
-    itself deterministic.  Both build the returned strategy's vertex row from
-    their own integer arrays, so vertex() only reads it.
+    Of the two exact enumerations that the budget admits, it takes the one
+    that walks fewer candidates, encodings on a tie: encodings f (d^n_x, the
+    reference route) or response tables g, each x then picking its best
+    message.  The budget counts all 2^(d n_y) tables, but only one per
+    relabelling of the messages is walked, C(2^n_y + d - 1, d) of them, which
+    returns the same bits as scoring all.  Both routes return exact maxima;
+    only tie-breaking among equally good vertices and the last bit of the
+    value differ, and each route is itself deterministic.  Both build the
+    returned strategy's vertex row from their own integer arrays, so vertex()
+    only reads it.
     """
 
     def __init__(self, d: int, n_x: int, n_y: int) -> None:
         super().__init__("PM", d=d, n_x=n_x, n_y=n_y)
         self.point_shape = (self.n_x, self.n_y, 2)
-        # Exact in Python ints; the bit-length test comes first, so 2^(d n_y)
-        # is only built when it is no larger than d^n_x, whatever d is.
-        n_g, cost_f = self.d * self.n_y, self.d**self.n_x
-        self._use_g_route = n_g < cost_f.bit_length() and 2**n_g < cost_f
-        if self._use_g_route:
-            _check_budget(2, n_g, "response tables")
-        else:
+        # Exact in Python ints; each bit-length test comes first, so 2^(d n_y)
+        # is only built when it is within the budget or below d^n_x.
+        budget, n_g, n_f = DEFAULT_ORACLE_BUDGET, self.d * self.n_y, self.d**self.n_x
+        fits_g = n_g < budget.bit_length() and 2**n_g <= budget
+        self._use_g_route = fits_g and (
+            n_f > budget or math.comb(2**self.n_y + self.d - 1, self.d) < n_f
+        )
+        if not self._use_g_route and n_f > budget:
+            # Neither route fits: name the one with fewer tables or encodings.
+            if n_g < n_f.bit_length() and 2**n_g < n_f:
+                _check_budget(2, n_g, "response tables")
             _check_budget(self.d, self.n_x, "encodings")
 
     def _exact(self, M: np.ndarray) -> tuple[PMStrategy, float]:
@@ -469,13 +475,16 @@ class _Corral:
 
         An affinely independent support is factored in one go; otherwise its
         rows enter one by one, and null steps reduce it.  Such a support has
-        at most D + 1 rows, so X, R, W and F are allocated once at that size.
+        at most D + 1 rows, so X, R and W are allocated once at that size and
+        their leading s rows hold it.  F is an exact s x s C-contiguous array,
+        replaced as the support changes, since ndarray.dot on a strided view
+        of a larger buffer takes about twice as long.
         """
         n, dim = rows.shape
         self.p, self.k, self.V = p, n, np.empty((max(2 * n, 8), dim))
         self.V[:n] = rows
         self.X, self.R = np.empty((2, dim + 1, dim))
-        self.W, self.F = np.empty(dim + 1), np.empty((dim + 1, dim + 1))
+        self.W, self.F = np.empty(dim + 1), np.empty((0, 0))
         self.ones = np.ones(dim + 1)
         support = np.flatnonzero(w > 0.0)
         weights = w[support] / w[support].sum()
@@ -503,7 +512,7 @@ class _Corral:
             return False
         if np.any(L.diagonal() ** 2 <= _DEPENDENT * A.diagonal()):
             return False
-        self.F[: len(R), : len(R)] = np.linalg.inv(L)
+        self.F = np.linalg.inv(L)
         return True
 
     def add(self, row: np.ndarray) -> None:
@@ -526,7 +535,7 @@ class _Corral:
         there the refined weights are within 1e-14 of a 50-digit solve, the
         factor alone 5e-10 and a float64 solve of the formed A_S 2e-9.
         """
-        F, R = self.F[: self.s, : self.s], self.R[: self.s]
+        F, R = self.F, self.R[: self.s]
         u = F.dot(self.ones[: self.s]).dot(F)
         u += F.dot(1.0 - np.add.reduce(u) - R.dot(u.dot(R))).dot(F)
         return u / np.add.reduce(u)
@@ -537,7 +546,7 @@ class _Corral:
         When the row is an affine combination q @ (rows of S), as every row
         is once S has D + 1 rows, returns q and leaves the support as it was.
         """
-        s, F, R = self.s, self.F[: self.s, : self.s], self.R[: self.s]
+        s, F, R = self.s, self.F, self.R[: self.s]
         r = self.V[i] - self.p
         b = R.dot(r)
         b += 1.0
@@ -550,6 +559,8 @@ class _Corral:
         if schur <= _DEPENDENT * (1.0 + float(r.dot(r))) or s == len(self.W):
             return q
         root = math.sqrt(schur)
+        self.F = np.empty((s + 1, s + 1))
+        self.F[:s, :s] = F
         np.divide(q, -root, out=self.F[s, :s])
         self.F[:s, s] = 0.0
         self.F[s, s] = 1.0 / root
@@ -564,13 +575,13 @@ class _Corral:
         The reflection I - v v^T / |v_last| maps column j of F onto the last
         axis, so F without that column and its last row factors the rest.
         """
-        s = self.s
-        F = self.F[:s, :s]
+        s, F = self.s, self.F
         v = F[:, j].copy()
         v /= math.sqrt(float(v.dot(v)))
         v[-1] += 1.0 if v[-1] >= 0.0 else -1.0
         F -= v[:, None] * (v.dot(F) / abs(v[-1]))
         F[:, j : s - 1] = F[:, j + 1 : s]
+        self.F = F[: s - 1, : s - 1].copy()
         for a in (self.X, self.R, self.W):
             a[j : s - 1] = a[j + 1 : s]
         self.s -= 1

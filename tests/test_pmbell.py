@@ -324,7 +324,7 @@ class TestCrossChecks:
         uniform = BehaviorTable("bell", np.full((2, 2, 2, 2), 0.25))  # every correlator 0
         monkeypatch.setattr(pmbell, "bell_behavior_phi_plus", lambda alice, bob: uniform)
         q = report.bell.quantum_value
-        assert repr(q) == "2.82842712474619"
+        assert repr(q) == "2.828427124746188"
         with self.raises(f"correlator and Born-rule values disagree: {q!r} vs 0.0"):
             certify_incompatibility(a, e, 2)
 

@@ -26,7 +26,7 @@ from incompat.polytope import (
     fw_membership,
     pm_lmo,
 )
-from incompat.qcore import Assemblage, Ensemble, QubitState, frozen
+from incompat.qcore import Assemblage, DichotomicMeasurement, Ensemble, QubitState, frozen
 
 TSIRELSON = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
@@ -189,6 +189,88 @@ class TestOneBudget:
         assert pm_lmo(np.zeros((4, 1, 2)), 3)[1] == 0.0
         assert bell_lmo(np.zeros((6, 6)))[1] == 0.0
         assert PMPolytope(2, 20, 3)._use_g_route
+
+
+def _reference_route(d: int, n_x: int, n_y: int) -> bool:
+    """The rule that priced the response route at all 2^(d n_y) tables."""
+    n_g, cost_f = d * n_y, d**n_x
+    use_g_route = n_g < cost_f.bit_length() and 2**n_g < cost_f
+    if use_g_route:
+        polytope._check_budget(2, n_g, "response tables")
+    else:
+        polytope._check_budget(d, n_x, "encodings")
+    return use_g_route
+
+
+def _route_or_message(make) -> bool | str:
+    try:
+        return make()
+    except EnumerationBudgetError as error:
+        return str(error)
+
+
+ROUTE_GRID = list(itertools.product(range(1, 5), range(1, 15), range(1, 9)))
+
+
+class TestRouteChoice:
+    """PMPolytope walks the route with fewer candidates among those in budget."""
+
+    def test_the_route_walks_fewer_candidates(self):
+        both = 0
+        for d, n_x, n_y in ROUTE_GRID:
+            if max(d**n_x, 2 ** (d * n_y)) > polytope.DEFAULT_ORACLE_BUDGET:
+                continue
+            both += 1
+            encodings, tables = d**n_x, math.comb(2**n_y + d - 1, d)
+            if PMPolytope(d, n_x, n_y)._use_g_route:
+                assert tables < encodings, (d, n_x, n_y)
+            else:
+                assert encodings <= tables, (d, n_x, n_y)
+        assert both > 300
+
+    @pytest.mark.parametrize("budget", [None, 100])
+    def test_accepts_and_refuses_what_the_reference_rule_does(self, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(polytope, "DEFAULT_ORACLE_BUDGET", budget)
+        refused = 0
+        for shape in ROUTE_GRID:
+            new = _route_or_message(lambda: PMPolytope(*shape)._use_g_route)
+            reference = _route_or_message(lambda: _reference_route(*shape))
+            if isinstance(reference, str):
+                refused += 1
+                assert new == reference, shape
+            else:
+                assert isinstance(new, bool), shape
+        assert refused > 5
+
+    @pytest.mark.parametrize("shape", [(2, 4, 2), (2, 8, 4), (3, 10, 6)])
+    def test_benchmark_shapes_take_the_response_route(self, shape):
+        assert PMPolytope(*shape)._use_g_route and not _reference_route(*shape)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 2), (2, 6, 3), (2, 8, 4), (3, 7, 4)])
+    def test_flipped_shapes_keep_the_verdict_of_the_encoding_route(self, shape):
+        # quantum behaviours, mostly inside, and uniform random tables,
+        # mostly outside
+        d, n_x, n_y = shape
+        rng = np.random.default_rng(37)
+        routed, forced = PMPolytope(d, n_x, n_y), PMPolytope(d, n_x, n_y)
+        forced._use_g_route = False
+        assert routed._use_g_route and not _reference_route(d, n_x, n_y)
+        points = []
+        for _ in range(3):
+            e = Ensemble(tuple(QubitState.pure(v) for v in rng.normal(size=(n_x, 3))))
+            a = Assemblage(
+                tuple(
+                    DichotomicMeasurement.noisy_projective(v, rng.uniform(0.7, 1.0))
+                    for v in rng.normal(size=(n_y, 3))
+                )
+            )
+            q = rng.uniform(size=(n_x, n_y))
+            points += [pm_behavior(e, a).data, np.stack([q, 1.0 - q], axis=-1)]
+        for point in points:
+            status = fw_membership(point, routed).status
+            assert status != "undecided"
+            assert status == fw_membership(point, forced).status
 
 
 def _row_index(digits) -> int:
@@ -1074,11 +1156,27 @@ def fresh_solve_check(monkeypatch):
     The corral updates its factor as rows enter and leave; _affine_weights
     forms and solves the same support's system from scratch.  Their weights
     must agree to 1e-12, widened by the fresh solve's own forward error
-    bound cond(A_S) eps max|u| where A_S is ill-conditioned.  Returns the
+    bound cond(A_S) eps max|u| where A_S is ill-conditioned.  After every
+    factor, border and drop, F must be an exact s x s C-contiguous array (a
+    refused factor leaves the support to enter row by row).  Returns the
     list of support sizes checked.
     """
     affine = polytope._Corral.affine
     checked = []
+
+    def contiguous_factor(method):
+        def checked_method(corral, *args):
+            out = method(corral, *args)
+            if out is not False:
+                assert corral.F.flags.c_contiguous and corral.F.shape == (corral.s, corral.s)
+            return out
+
+        return checked_method
+
+    for name in ("factor", "border", "drop"):
+        monkeypatch.setattr(
+            polytope._Corral, name, contiguous_factor(getattr(polytope._Corral, name))
+        )
 
     def affine_checked(corral):
         u = affine(corral)
