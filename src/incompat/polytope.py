@@ -183,12 +183,11 @@ def _lex_onehot(k: int, m: int) -> np.ndarray:
     return frozen(digits == np.arange(k)[:, None, None])
 
 
-def _check_budget(k: int, n: int, what: str) -> None:
-    """Raise EnumerationBudgetError when k^n objects exceed the oracle budget."""
-    total = k**n
+def _check_budget(total: int, written: str, what: str) -> None:
+    """Raise EnumerationBudgetError when written = total objects exceed the oracle budget."""
     if total > DEFAULT_ORACLE_BUDGET:
         raise EnumerationBudgetError(
-            f"{k}^{n} = {total} {what} exceed the oracle budget {DEFAULT_ORACLE_BUDGET}"
+            f"{written} = {total} {what} exceed the oracle budget {DEFAULT_ORACLE_BUDGET}"
         )
 
 
@@ -210,7 +209,7 @@ def _lex_argmax(
     widest per-row array, whatever k^n is: over {0, 1} a chunk of 2^13 rows
     and n = 16 columns is about 2.1 MB.
     """
-    _check_budget(k, n, what)
+    _check_budget(k**n, f"{k}^{n}", what)
     m = next((j for j in range(n, -1, -1) if k ** (j + 1) <= _CHUNK_SIZE), 0)
     low = _lex_onehot(k, m)
     T = low
@@ -268,18 +267,29 @@ def _sorted_tables(k: int, d: int) -> tuple[int, np.ndarray, np.ndarray]:
     """How the response route walks the non-decreasing d-tuples of range(k).
 
     Returns (p, S, start), the arrays read-only.  Column j of S is the j-th
-    of the non-decreasing (d - p)-tuples in lexicographic order, for the
-    smallest p < d for which there are at most _CHUNK_SIZE // 2 of them
-    (p = d - 1 if no p has).  In lexicographic order the non-decreasing
-    d-tuples are the non-decreasing p-tuples, each followed by the columns
+    non-decreasing m-tuple, m = d - p, in lexicographic order, for the
+    smallest p < d that leaves at most _CHUNK_SIZE // 2 columns and
+    4 * _CHUNK_SIZE entries (p = d - 1 if none does; the second bound only
+    binds past m = 8).  In lexicographic order the non-decreasing d-tuples
+    are the non-decreasing p-tuples, each followed by the columns
     S[:, start[i]:], those whose first entry is at least the prefix's last
     entry i (all of S for the empty prefix).  For the response route's
-    k <= _CHUNK_SIZE // 2, p = d - 1 always qualifies, so S has at most
-    _CHUNK_SIZE // 2 columns of d - p entries.
+    k <= _CHUNK_SIZE // 2, p = d - 1 always qualifies.
     """
-    p = next((p for p in range(d) if math.comb(k + d - p - 1, d - p) <= _CHUNK_SIZE // 2), d - 1)
-    S = frozen(list(zip(*itertools.combinations_with_replacement(range(k), d - p))), np.intp)
-    return p, S, frozen(np.searchsorted(S[0], np.arange(k)), np.intp)
+    fits = (m for m in range(d, 1, -1) if max(m, 8) * math.comb(k + m - 1, m) <= 4 * _CHUNK_SIZE)
+    m = next(fits, 1)
+    S = frozen(list(zip(*itertools.combinations_with_replacement(range(k), m))), np.intp)
+    return d - m, S, frozen(np.searchsorted(S[0], np.arange(k)), np.intp)
+
+
+@functools.lru_cache(maxsize=64)  # read on every response-route call
+def _response_walk(d: int, n_y: int) -> tuple[int, str, str] | None:
+    """_check_budget's arguments for the C(2^n_y + d - 1, d) sorted response tables,
+    or None when 2^(n_y + 1) > _CHUNK_SIZE (tested without building 2^n_y)."""
+    if _CHUNK_SIZE >> n_y < 2:
+        return None
+    top = 2**n_y + d - 1
+    return math.comb(top, d), f"C({top}, {d})", "response tables"
 
 
 def _pm_lmo_over_responses(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
@@ -292,21 +302,21 @@ def _pm_lmo_over_responses(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
     messages, which permutes g's rows, changes no bit of a score.  Only the
     table of each class whose row indices do not decrease, the class's first
     in lexicographic order, is scored, in that order, so the first maximiser
-    kept is the first over all 2^(d n_y) tables (outcome 0 before 1); each x
-    then takes the lowest best message.  The budget still counts all of them.
+    kept is the first over every table (outcome 0 before 1); each x then
+    takes the lowest best message.  The budget counts the tables scored.
 
     R is the whole table _lex_onehot(2, n_y), so 2^(n_y + 1) must not exceed
     _CHUNK_SIZE; a larger n_y raises EnumerationBudgetError.  Only a direct
     d = 1 call can get there: when d >= 2, as whenever PMPolytope takes this
-    route, the budget keeps n_y <= 11.  One prefix's chunk scores at most
-    _CHUNK_SIZE // 2 tables.
+    route, the budget keeps n_y <= 12 (at d = 2).  One prefix's chunk scores
+    at most _CHUNK_SIZE // 2 tables.
     """
     n_x, n_y, _ = M.shape
-    _check_budget(2, d * n_y, "response tables")
-    if 2 ** (n_y + 1) > _CHUNK_SIZE:
+    if (walk := _response_walk(d, n_y)) is None:
         raise EnumerationBudgetError(
             f"2^{n_y} response rows exceed one chunk of {_CHUNK_SIZE // 2} rows"
         )
+    _check_budget(*walk)
     R = _lex_onehot(2, n_y)[1]  # the 2^n_y response rows as 0/1 floats
     p, S, start = _sorted_tables(len(R), d)
     # Rounding is monotone, so adding base before the maximum over messages
@@ -400,38 +410,32 @@ class _Adapter:
 class PMPolytope(_Adapter):
     """LMO adapter for the PM_d behaviour polytope of a fixed scenario shape.
 
-    Of the two exact enumerations that the budget admits, it takes the one
-    that walks fewer candidates, encodings on a tie: encodings f (d^n_x, the
-    reference route) or response tables g, each x then picking its best
-    message.  The budget counts all 2^(d n_y) tables, but only one per
-    relabelling of the messages is walked, C(2^n_y + d - 1, d) of them, which
-    returns the same bits as scoring all.  Both routes return exact maxima;
-    only tie-breaking among equally good vertices and the last bit of the
-    value differ, and each route is itself deterministic.  Both build the
-    returned strategy's vertex row from their own integer arrays, so vertex()
-    only reads it.
+    It takes the exact enumeration that walks fewer candidates, encodings on
+    a tie: encodings f (d^n_x, the reference route) or response tables g,
+    each x then picking its best message, one table per relabelling of the
+    messages, C(2^n_y + d - 1, d), which gives the same bits as scoring all.
+    The budget counts what the chosen route walks; over it, the route is
+    named in the error.  Both routes return exact maxima; only tie-breaking
+    among equally good vertices and the last bit of the value differ, and
+    each route is itself deterministic.  Both build the returned strategy's
+    vertex row from their own integer arrays, so vertex() only reads it.
     """
 
     def __init__(self, d: int, n_x: int, n_y: int) -> None:
         super().__init__("PM", d=d, n_x=n_x, n_y=n_y)
         self.point_shape = (self.n_x, self.n_y, 2)
-        # Exact in Python ints; each bit-length test comes first, so 2^(d n_y)
-        # is only built when it is within the budget or below d^n_x.
-        budget, n_g, n_f = DEFAULT_ORACLE_BUDGET, self.d * self.n_y, self.d**self.n_x
-        fits_g = n_g < budget.bit_length() and 2**n_g <= budget
-        self._use_g_route = fits_g and (
-            n_f > budget or math.comb(2**self.n_y + self.d - 1, self.d) < n_f
-        )
-        if not self._use_g_route and n_f > budget:
-            # Neither route fits: name the one with fewer tables or encodings.
-            if n_g < n_f.bit_length() and 2**n_g < n_f:
-                _check_budget(2, n_g, "response tables")
-            _check_budget(self.d, self.n_x, "encodings")
+        encodings = self.d**self.n_x, f"{self.d}^{self.n_x}", "encodings"
+        tables = _response_walk(self.d, self.n_y)
+        self._use_g_route = tables is not None and tables[0] < encodings[0]
+        _check_budget(*(tables if self._use_g_route else encodings))
+
+    def _admits(self, strategy: PMStrategy) -> bool:
+        """Whether a start strategy sends n_x messages answered by at most d rows."""
+        f, g = strategy.f, strategy.g
+        return len(f) == self.n_x and len({g[a] for a in set(f)}) <= self.d
 
     def _exact(self, M: np.ndarray) -> tuple[PMStrategy, float]:
-        if self._use_g_route:
-            return _pm_lmo_over_responses(M, self.d)
-        return pm_lmo(M, self.d)
+        return (_pm_lmo_over_responses if self._use_g_route else pm_lmo)(M, self.d)
 
 
 class BellPolytope(_Adapter):
@@ -440,6 +444,11 @@ class BellPolytope(_Adapter):
     def __init__(self, n_a: int, n_b: int) -> None:
         super().__init__("Bell", n_a=n_a, n_b=n_b)
         self.point_shape = (self.n_a, self.n_b)
+
+    def _admits(self, strategy: SignAssignment) -> bool:
+        """Whether a start strategy has n_a and n_b signs of +-1."""
+        alpha, beta = strategy.alpha, strategy.beta
+        return (len(alpha), len(beta)) == self.point_shape and set(alpha + beta) <= {1, -1}
 
     def _exact(self, M: np.ndarray) -> tuple[SignAssignment, float]:
         return bell_lmo(M)
@@ -744,9 +753,9 @@ def fw_membership(
     the row, not the strategy, since twins (strategies that differ by a
     relabelling) share a row.
 
-    A non-empty start (strategies of the same polytope, such as a previous
-    verdict's strategies) warm-starts the run: they replace the oracle's
-    vertex for the point as the first vertex set, which saves that call.
+    A non-empty start (strategies of the same polytope, else ValueError, such
+    as a previous verdict's strategies) warm-starts the run: they replace the
+    oracle's vertex for the point as the first vertex set, saving that call.
     The corral begins with uniform weights over them, each row once with
     the weight of all its strategies, factored in one go (null steps reduce
     a dependent set as its rows enter one by one).
@@ -762,11 +771,14 @@ def fw_membership(
         )
     gap_tol = 1e-12 * max(1.0, float(p @ p))
 
+    start = list(start)
+    if not all(map(polytope._admits, start)):
+        raise ValueError("start strategies must be vertices of the polytope")
     # A strategy is repeated when its vertex row is: twins (strategies that
     # differ only by a relabelling) share a row and must not both enter.
     strategies, rows, picks = [], [], []
     seen = {}  # vertex row bytes -> buffer index
-    for strat in list(start) or [polytope.lmo(p)[0]]:
+    for strat in start or [polytope.lmo(p)[0]]:
         row = polytope.vertex(strat)
         picks.append(seen.setdefault(row.tobytes(), len(rows)))
         if picks[-1] == len(rows):

@@ -82,10 +82,11 @@ class TestPMOracle:
         with pytest.raises(EnumerationBudgetError):
             PMPolytope(3, 24, 24)
 
-    def test_huge_dimension_fails_on_the_encoding_budget_without_building_2_to_the_d(self):
+    @pytest.mark.parametrize("n_y", [3, 13])
+    def test_huge_dimension_fails_on_the_encoding_budget_without_building_2_to_the_d(self, n_y):
         # 2^(d n_y) would be a 4e12-bit integer; d^n_x has 240 bits
         with pytest.raises(EnumerationBudgetError, match=r"^1000000000000\^6 = 10+ encodings"):
-            PMPolytope(10**12, 6, 3)
+            PMPolytope(10**12, 6, n_y)
 
     @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 2), (2, 3, 0), (-2, 6, 3), (1, -1, 1)])
     def test_polytope_rejects_a_scenario_below_one(self, shape):
@@ -159,7 +160,7 @@ class TestAdapters:
 class TestOneBudget:
     """Every exact oracle reads DEFAULT_ORACLE_BUDGET when it is called."""
 
-    MESSAGE = r"^\d+\^\d+ = \d+ [a-z ]+ exceed the oracle budget 100$"
+    MESSAGE = r"^(\d+\^\d+|C\(\d+, \d+\)) = \d+ [a-z ]+ exceed the oracle budget 100$"
 
     @pytest.fixture(autouse=True)
     def low_budget(self, monkeypatch):
@@ -173,10 +174,10 @@ class TestOneBudget:
             (lambda: BellPolytope(7, 7).lmo(np.zeros(49)), "2^7 = 128 sign vectors"),
             (
                 lambda: polytope._pm_lmo_over_responses(np.zeros((20, 4, 2)), 2),
-                "2^8 = 256 response tables",
+                "C(17, 2) = 136 response tables",
             ),
-            (lambda: PMPolytope(3, 5, 3), "3^5 = 243 encodings"),
-            (lambda: PMPolytope(2, 20, 4), "2^8 = 256 response tables"),
+            (lambda: PMPolytope(3, 5, 4), "3^5 = 243 encodings"),
+            (lambda: PMPolytope(2, 20, 4), "C(17, 2) = 136 response tables"),
         ],
         ids=["pm_lmo", "bell_lmo", "bell_adapter", "response_route", "pm_adapter_f", "pm_adapter_g"],
     )
@@ -192,14 +193,25 @@ class TestOneBudget:
 
 
 def _reference_route(d: int, n_x: int, n_y: int) -> bool:
-    """The rule that priced the response route at all 2^(d n_y) tables."""
-    n_g, cost_f = d * n_y, d**n_x
-    use_g_route = n_g < cost_f.bit_length() and 2**n_g < cost_f
-    if use_g_route:
-        polytope._check_budget(2, n_g, "response tables")
-    else:
-        polytope._check_budget(d, n_x, "encodings")
-    return use_g_route
+    """The walked-count rule: the response route when its C(2^n_y + d - 1, d)
+    sorted tables, which need 2^(n_y + 1) <= _CHUNK_SIZE, are fewer than the
+    d^n_x encodings; the budget then counts the route taken."""
+    budget, top = polytope.DEFAULT_ORACLE_BUDGET, 2**n_y + d - 1
+    tables = math.comb(top, d) if 2 ** (n_y + 1) <= polytope._CHUNK_SIZE else None
+    over = "exceed the oracle budget"
+    if tables is not None and tables < d**n_x:
+        if tables > budget:
+            raise EnumerationBudgetError(f"C({top}, {d}) = {tables} response tables {over} {budget}")
+        return True
+    if d**n_x > budget:
+        raise EnumerationBudgetError(f"{d}^{n_x} = {d**n_x} encodings {over} {budget}")
+    return False
+
+
+def _priced_at_all_tables(d: int, n_x: int, n_y: int) -> bool:
+    """The route before the walk was counted: responses only when all 2^(d n_y)
+    tables were fewer than the d^n_x encodings."""
+    return 2 ** (d * n_y) < d**n_x
 
 
 def _route_or_message(make) -> bool | str:
@@ -236,16 +248,13 @@ class TestRouteChoice:
         for shape in ROUTE_GRID:
             new = _route_or_message(lambda: PMPolytope(*shape)._use_g_route)
             reference = _route_or_message(lambda: _reference_route(*shape))
-            if isinstance(reference, str):
-                refused += 1
-                assert new == reference, shape
-            else:
-                assert isinstance(new, bool), shape
+            refused += isinstance(reference, str)
+            assert new == reference, shape
         assert refused > 5
 
     @pytest.mark.parametrize("shape", [(2, 4, 2), (2, 8, 4), (3, 10, 6)])
     def test_benchmark_shapes_take_the_response_route(self, shape):
-        assert PMPolytope(*shape)._use_g_route and not _reference_route(*shape)
+        assert PMPolytope(*shape)._use_g_route and not _priced_at_all_tables(*shape)
 
     @pytest.mark.parametrize("shape", [(2, 4, 2), (2, 6, 3), (2, 8, 4), (3, 7, 4)])
     def test_flipped_shapes_keep_the_verdict_of_the_encoding_route(self, shape):
@@ -255,7 +264,7 @@ class TestRouteChoice:
         rng = np.random.default_rng(37)
         routed, forced = PMPolytope(d, n_x, n_y), PMPolytope(d, n_x, n_y)
         forced._use_g_route = False
-        assert routed._use_g_route and not _reference_route(d, n_x, n_y)
+        assert routed._use_g_route and not _priced_at_all_tables(d, n_x, n_y)
         points = []
         for _ in range(3):
             e = Ensemble(tuple(QubitState.pure(v) for v in rng.normal(size=(n_x, 3))))
@@ -271,6 +280,21 @@ class TestRouteChoice:
             status = fw_membership(point, routed).status
             assert status != "undecided"
             assert status == fw_membership(point, forced).status
+
+    def test_six_axes_against_twelve_states_take_the_response_route_at_four_messages(self):
+        # 4^12 = 16777216 encodings, C(67, 4) = 766480 sorted tables
+        assert PMPolytope(4, 12, 6)._use_g_route
+
+    def test_a_shape_refused_at_the_price_of_all_tables_is_exact(self, monkeypatch):
+        # at a budget of 1000: 4^6 = 4096 encodings and 2^12 = 4096 tables,
+        # but the walk visits C(11, 4) = 330 sorted tables
+        draws = np.random.default_rng(38).integers(-3, 4, size=(6, 6, 3, 2)).astype(float)
+        monkeypatch.setattr(polytope, "DEFAULT_ORACLE_BUDGET", 1000)
+        oracle = PMPolytope(4, 6, 3)
+        assert oracle._use_g_route and min(4**6, 2**12) > 1000
+        values = [oracle.lmo(M)[1] for M in draws]
+        monkeypatch.undo()
+        assert values == [pm_lmo(M, 4)[1] for M in draws]
 
 
 def _row_index(digits) -> int:
@@ -338,6 +362,24 @@ class TestChunkedEnumeration:
         assert oracle._use_g_route  # 2^18 response tables
         M = np.random.default_rng(33).normal(size=oracle.point_shape)
         assert _traced_peak(lambda: oracle.lmo(M)) <= 128 * 2**20
+
+    def test_response_enumeration_at_twelve_settings_memory_is_bounded(self):
+        oracle = PMPolytope(2, 30, 12)
+        assert oracle._use_g_route  # C(4097, 2) = 8390656 sorted tables
+        M = np.random.default_rng(39).normal(size=oracle.point_shape)
+        assert _traced_peak(lambda: oracle.lmo(M)) <= 128 * 2**20
+
+    def test_sorted_tables_stay_small_for_a_large_dimension(self):
+        # at n_y = 1 the walk has d + 1 tables, each of d rows; the cached
+        # suffix table still holds at most 4 * _CHUNK_SIZE entries
+        oracle = PMPolytope(1000, 3, 1)
+        assert oracle._use_g_route
+        M = np.random.default_rng(40).integers(-3, 4, size=oracle.point_shape).astype(float)
+        _clear_table_caches()
+        peak = _traced_peak(lambda: oracle.lmo(M))
+        assert polytope._sorted_tables(2, 1000)[1].size <= 4 * polytope._CHUNK_SIZE
+        assert peak < 8 * 2**20
+        assert oracle.lmo(M)[1] == pm_lmo(M, 3)[1]  # three messages serve all three x
 
     def test_witness_recheck_memory_fits_in_cache(self):
         # certify re-checks a PM witness on the doubled ensemble, 16 states
@@ -901,12 +943,23 @@ class TestWarmStart:
         [
             (BellPolytope(2, 2), SignAssignment((1, 1, 1), (1, -1))),
             (PMPolytope(2, 3, 2), PMStrategy((0, 1), ((0, 0), (1, 1)))),
+            # the right row length, but three distinct rows g[f[x]] for d = 2
+            (PMPolytope(2, 3, 2), PMStrategy((0, 1, 2), ((0, 0), (0, 1), (1, 0)))),
+            # the right row length, but three signs for n_a = 2
+            (BellPolytope(2, 3), SignAssignment((1, 1, -1), (1, -1))),
         ],
     )
     def test_start_of_another_shape_is_rejected(self, poly, strategy):
         point = np.zeros(poly.point_shape)
         with pytest.raises(ValueError, match="start"):
             fw_membership(point, poly, start=[strategy])
+
+
+    def test_a_start_that_uses_d_of_more_rows_is_accepted(self):
+        # g has three rows, but f sends only messages 0 and 2
+        strategy = PMStrategy((0, 2, 0), ((0, 0), (1, 1), (1, 0)))
+        verdict = fw_membership(strategy.vector(), PMPolytope(2, 3, 2), start=[strategy])
+        assert verdict.is_inside and verdict.iterations == 1
 
 
 class TestBruteForce:
