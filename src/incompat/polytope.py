@@ -7,17 +7,17 @@ g: (a,y) -> b), and the Bell full-correlator polytope, whose vertices are the
 rank-one sign matrices alpha_x beta_y.
 
 Membership is decided by a fully corrective Frank-Wolfe loop driven by exact
-enumeration oracles, which share one budget: DEFAULT_ORACLE_BUDGET
-candidates per call, checked by _check_budget.  The loop keeps one
-persistent corral: the vertices seen so far and an affinely independent
-active set whose convex weights Wolfe's minimum-norm-point algorithm
-reoptimises exactly.  The factor of the active set's affine system is
-updated as vertices enter and leave instead of being rebuilt, so an affine
-step costs O(s D + s^2).  An Inside verdict ships with a sparse convex
-decomposition and an Outside verdict with a separating witness whose
-classical bound comes from one final exact oracle call; every verdict keeps
-its final active strategies, from which a run on a nearby point can start.
-A dense phase-1 simplex over an explicit vertex list serves as an
+enumeration oracles under one budget of DEFAULT_ORACLE_BUDGET candidates,
+checked by _check_budget on each pm_lmo and bell_lmo call and once per
+PMPolytope, for its route.  The loop keeps one persistent corral: the vertices
+seen so far and an affinely independent active set whose convex weights
+Wolfe's minimum-norm-point algorithm reoptimises exactly.  The factor of the
+active set's affine system is updated as vertices enter and leave instead of
+being rebuilt, so an affine step costs O(s D + s^2).  An Inside verdict ships
+with a sparse convex decomposition and an Outside verdict with a separating
+witness whose classical bound comes from one final exact oracle call; every
+verdict keeps its final active strategies, from which a run on a nearby point
+can start.  A dense phase-1 simplex over an explicit vertex list serves as an
 independent test oracle for the same question.
 """
 
@@ -184,10 +184,14 @@ def _lex_onehot(k: int, m: int) -> np.ndarray:
 
 
 def _check_budget(total: int, written: str, what: str) -> None:
-    """Raise EnumerationBudgetError when written = total objects exceed the oracle budget."""
+    """Raise EnumerationBudgetError when written = total objects exceed the oracle budget.
+
+    A total past 10^3000 is given by its rounded log10: str() refuses ints
+    past 4300 digits."""
     if total > DEFAULT_ORACLE_BUDGET:
+        count = total if total < 10**3000 else f"about 10^{math.log10(total):.0f}"
         raise EnumerationBudgetError(
-            f"{written} = {total} {what} exceed the oracle budget {DEFAULT_ORACLE_BUDGET}"
+            f"{written} = {count} {what} exceed the oracle budget {DEFAULT_ORACLE_BUDGET}"
         )
 
 
@@ -268,21 +272,20 @@ def _sorted_tables(k: int, d: int) -> tuple[int, np.ndarray, np.ndarray]:
 
     Returns (p, S, start), the arrays read-only.  Column j of S is the j-th
     non-decreasing m-tuple, m = d - p, in lexicographic order, for the
-    smallest p < d that leaves at most _CHUNK_SIZE // 2 columns and
-    4 * _CHUNK_SIZE entries (p = d - 1 if none does; the second bound only
-    binds past m = 8).  In lexicographic order the non-decreasing d-tuples
-    are the non-decreasing p-tuples, each followed by the columns
-    S[:, start[i]:], those whose first entry is at least the prefix's last
-    entry i (all of S for the empty prefix).  For the response route's
-    k <= _CHUNK_SIZE // 2, p = d - 1 always qualifies.
+    smallest p < d that leaves at most _CHUNK_SIZE // 2 columns (p = d - 1
+    if none does).  In lexicographic order the non-decreasing d-tuples are
+    the non-decreasing p-tuples, each followed by the columns S[:, start[i]:],
+    those whose first entry is at least the prefix's last entry i (all of S
+    for the empty prefix).  For the response route's k <= _CHUNK_SIZE // 2,
+    p = d - 1 always qualifies, and its d <= k keeps S within 4 * _CHUNK_SIZE
+    entries (k = 8 allows m = 8, k >= 16 at most m = 4).
     """
-    fits = (m for m in range(d, 1, -1) if max(m, 8) * math.comb(k + m - 1, m) <= 4 * _CHUNK_SIZE)
+    fits = (m for m in range(d, 1, -1) if math.comb(k + m - 1, m) <= _CHUNK_SIZE // 2)
     m = next(fits, 1)
     S = frozen(list(zip(*itertools.combinations_with_replacement(range(k), m))), np.intp)
     return d - m, S, frozen(np.searchsorted(S[0], np.arange(k)), np.intp)
 
 
-@functools.lru_cache(maxsize=64)  # read on every response-route call
 def _response_walk(d: int, n_y: int) -> tuple[int, str, str] | None:
     """_check_budget's arguments for the C(2^n_y + d - 1, d) sorted response tables,
     or None when 2^(n_y + 1) > _CHUNK_SIZE (tested without building 2^n_y)."""
@@ -303,21 +306,14 @@ def _pm_lmo_over_responses(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
     table of each class whose row indices do not decrease, the class's first
     in lexicographic order, is scored, in that order, so the first maximiser
     kept is the first over every table (outcome 0 before 1); each x then
-    takes the lowest best message.  The budget counts the tables scored.
+    takes the lowest best message.
 
-    R is the whole table _lex_onehot(2, n_y), so 2^(n_y + 1) must not exceed
-    _CHUNK_SIZE; a larger n_y raises EnumerationBudgetError.  Only a direct
-    d = 1 call can get there: when d >= 2, as whenever PMPolytope takes this
-    route, the budget keeps n_y <= 12 (at d = 2).  One prefix's chunk scores
-    at most _CHUNK_SIZE // 2 tables.
+    Nothing here checks a budget: PMPolytope prices the walk once, with
+    _response_walk, and takes this route only with d <= 2^n_y and, since R
+    is the whole table _lex_onehot(2, n_y), 2^(n_y + 1) <= _CHUNK_SIZE.  One
+    prefix's chunk scores at most _CHUNK_SIZE // 2 tables.
     """
-    n_x, n_y, _ = M.shape
-    if (walk := _response_walk(d, n_y)) is None:
-        raise EnumerationBudgetError(
-            f"2^{n_y} response rows exceed one chunk of {_CHUNK_SIZE // 2} rows"
-        )
-    _check_budget(*walk)
-    R = _lex_onehot(2, n_y)[1]  # the 2^n_y response rows as 0/1 floats
+    R = _lex_onehot(2, M.shape[1])[1]  # the 2^n_y response rows as 0/1 floats
     p, S, start = _sorted_tables(len(R), d)
     # Rounding is monotone, so adding base before the maximum over messages
     # gives the same bits as adding it after.
@@ -410,20 +406,22 @@ class _Adapter:
 class PMPolytope(_Adapter):
     """LMO adapter for the PM_d behaviour polytope of a fixed scenario shape.
 
-    It takes the exact enumeration that walks fewer candidates, encodings on
-    a tie: encodings f (d^n_x, the reference route) or response tables g,
-    each x then picking its best message, one table per relabelling of the
-    messages, C(2^n_y + d - 1, d), which gives the same bits as scoring all.
-    The budget counts what the chosen route walks; over it, the route is
-    named in the error.  Both routes return exact maxima; only tie-breaking
-    among equally good vertices and the last bit of the value differ, and
-    each route is itself deterministic.  Both build the returned strategy's
-    vertex row from their own integer arrays, so vertex() only reads it.
+    d is lowered to min(d, n_x, 2^n_y), the most distinct response rows a
+    strategy can use, so the polytope is the same.  It takes the exact route
+    that walks fewer candidates, encodings on a tie: encodings f (d^n_x, the
+    reference route) or response tables g, each x then picking its best
+    message, one table per relabelling of the messages, C(2^n_y + d - 1, d),
+    which gives the same bits as scoring all.  The budget counts what that
+    route walks, once, here; over it, the error names the route.  Both routes
+    return exact maxima; only tie-breaking among equally good vertices and the
+    last bit of the value differ, and each route is itself deterministic.  Both
+    build the returned strategy's vertex row itself, so vertex() only reads it.
     """
 
     def __init__(self, d: int, n_x: int, n_y: int) -> None:
         super().__init__("PM", d=d, n_x=n_x, n_y=n_y)
         self.point_shape = (self.n_x, self.n_y, 2)
+        self.d = min(self.d, self.n_x, 1 << min(self.n_y, self.n_x.bit_length()))
         encodings = self.d**self.n_x, f"{self.d}^{self.n_x}", "encodings"
         tables = _response_walk(self.d, self.n_y)
         self._use_g_route = tables is not None and tables[0] < encodings[0]

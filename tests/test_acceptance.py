@@ -468,3 +468,54 @@ def test_11_witness_transfer_bound_equality():
         worst <= 1e-10 and elapsed < 10.0,
         f"worst gap={worst:.2e}, {elapsed:.1f}s",
     )
+
+
+PHI = (1 + math.sqrt(5)) / 2
+ICOSAHEDRAL_AXES = [(0, 1, PHI), (0, -1, PHI), (1, PHI, 0), (1, -PHI, 0), (PHI, 0, 1), (-PHI, 0, 1)]
+ICOSAHEDRAL_STATES = [(0, 1, PHI), (0, 1, -PHI), (1, PHI, 0), (-1, PHI, 0), (PHI, 0, 1), (PHI, 0, -1)]
+
+
+def _icosahedral_scenario(eta):
+    """Six icosahedral axes at visibility eta, six states that double to the icosahedron."""
+    unit = [np.array(v) / np.linalg.norm(v) for v in (*ICOSAHEDRAL_AXES, *ICOSAHEDRAL_STATES)]
+    a = ic.Assemblage(tuple(ic.DichotomicMeasurement.noisy_projective(v, eta) for v in unit[:6]))
+    return a, ic.Ensemble(tuple(ic.QubitState.pure(v) for v in unit[6:]))
+
+
+def test_12_icosahedral_axes_need_more_than_a_trit():
+    # The abstract's trit claim: six projective measurements along the
+    # icosahedron's axes, against its twelve vertices, are outside PM_2 with
+    # a Bell certificate and outside PM_3.  The PM_3 witness is re-checked
+    # exactly: M rounded to integers of at most 2^20, whose classical bound
+    # pm_lmo gives exactly (every partial sum is an integer below 2^53), and
+    # whose quantum value is a Fraction sum over the float behaviour.  Its
+    # negation is no witness, and at visibility 0.975 the point is inside PM_3.
+    t0 = time.perf_counter()
+    a, e = _icosahedral_scenario(1.0)
+    bit = ic.certify_incompatibility(a, e, 2)
+    bit_ok = bit.verdict.is_outside and bit.bell is not None
+    bit_ok = bit_ok and bit.bell.quantum_value > bit.bell.local_bound
+
+    trit = ic.certify_incompatibility(a, e, 3)
+    p = ic.pm_behavior(ic.double_ensemble(e), a).data
+    trit_ok, excess = trit.verdict.is_outside and trit.verdict.witness is not None, None
+    if trit_ok:
+        M = trit.verdict.witness.M
+        Mi = np.rint(M * (2**20 / np.abs(M).max()))
+        L = Fraction(ic.pm_lmo(Mi, 3)[1])
+        Q = sum(Fraction(int(m)) * Fraction(v) for m, v in zip(Mi.ravel(), p.ravel()))
+        excess = float((Q - L) / 2**20)
+        negated_rejected = -Q < ic.pm_lmo(-Mi, 3)[1]
+        trit_ok = L == 38 * 2**20 and round(excess, 4) == 0.8328 and negated_rejected
+
+    noisy = ic.certify_incompatibility(*_icosahedral_scenario(0.975), 3)
+    elapsed = time.perf_counter() - t0
+    _report(
+        12,
+        "icosahedral axes x icosahedron: outside PM2 with a Bell certificate, "
+        "outside PM3 exactly, inside PM3 at visibility 0.975",
+        bit_ok and trit_ok and noisy.verdict.is_inside and elapsed < 60.0,
+        f"PM2 {bit.verdict.status} in {bit.verdict.iterations} it, PM3 {trit.verdict.status} "
+        f"in {trit.verdict.iterations} it, exact (Q - L) / 2^20 = {excess}, "
+        f"0.975 {noisy.verdict.status} in {noisy.verdict.iterations} it, {elapsed:.1f}s",
+    )

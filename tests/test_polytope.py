@@ -84,9 +84,16 @@ class TestPMOracle:
 
     @pytest.mark.parametrize("n_y", [3, 13])
     def test_huge_dimension_fails_on_the_encoding_budget_without_building_2_to_the_d(self, n_y):
-        # 2^(d n_y) would be a 4e12-bit integer; d^n_x has 240 bits
-        with pytest.raises(EnumerationBudgetError, match=r"^1000000000000\^6 = 10+ encodings"):
-            PMPolytope(10**12, 6, n_y)
+        # 2^(d n_y) would be a 4e12-bit integer; six states use at most six
+        # messages, so d drops to 6 before anything is counted
+        assert PMPolytope(10**12, 6, n_y).d == 6
+        with pytest.raises(EnumerationBudgetError, match=r"^30\^30 = \d+ encodings"):
+            PMPolytope(10**12, 30, 13)
+
+    def test_a_count_past_python_s_digit_limit_still_raises_the_budget_error(self):
+        # 5000^5000 has 18495 digits; str() refuses ints past 4300
+        with pytest.raises(EnumerationBudgetError, match=r"^5000\^5000 = about 10\^18495 encodings"):
+            PMPolytope(5000, 5000, 20)
 
     @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 2), (2, 3, 0), (-2, 6, 3), (1, -1, 1)])
     def test_polytope_rejects_a_scenario_below_one(self, shape):
@@ -158,7 +165,8 @@ class TestAdapters:
 
 
 class TestOneBudget:
-    """Every exact oracle reads DEFAULT_ORACLE_BUDGET when it is called."""
+    """pm_lmo, bell_lmo and BellPolytope read DEFAULT_ORACLE_BUDGET on every
+    call; PMPolytope reads it once, when it is constructed."""
 
     MESSAGE = r"^(\d+\^\d+|C\(\d+, \d+\)) = \d+ [a-z ]+ exceed the oracle budget 100$"
 
@@ -172,14 +180,10 @@ class TestOneBudget:
             (lambda: pm_lmo(np.zeros((5, 1, 2)), 3), "3^5 = 243 encodings"),
             (lambda: bell_lmo(np.zeros((7, 7))), "2^7 = 128 sign vectors"),
             (lambda: BellPolytope(7, 7).lmo(np.zeros(49)), "2^7 = 128 sign vectors"),
-            (
-                lambda: polytope._pm_lmo_over_responses(np.zeros((20, 4, 2)), 2),
-                "C(17, 2) = 136 response tables",
-            ),
             (lambda: PMPolytope(3, 5, 4), "3^5 = 243 encodings"),
             (lambda: PMPolytope(2, 20, 4), "C(17, 2) = 136 response tables"),
         ],
-        ids=["pm_lmo", "bell_lmo", "bell_adapter", "response_route", "pm_adapter_f", "pm_adapter_g"],
+        ids=["pm_lmo", "bell_lmo", "bell_adapter", "pm_adapter_f", "pm_adapter_g"],
     )
     def test_every_oracle_raises_the_one_message(self, call, expected):
         with pytest.raises(EnumerationBudgetError, match=self.MESSAGE) as info:
@@ -297,6 +301,31 @@ class TestRouteChoice:
         assert values == [pm_lmo(M, 4)[1] for M in draws]
 
 
+BENCHMARK_SHAPES = [(2, n_x, n_y) for n_x in (8, 16) for n_y in range(2, 6)] + [
+    (3, 10, 6),
+    (3, 6, 16),
+]
+
+
+class TestMessageClamp:
+    """PMPolytope lowers d to min(d, n_x, 2^n_y): a strategy never answers
+    with more distinct response rows, so larger d gives the same polytope."""
+
+    @pytest.mark.parametrize("shape", [(10**4, 3, 1), (3000, 2, 1)])
+    def test_a_large_dimension_walks_two_messages_and_keeps_the_maximum(self, shape):
+        oracle = PMPolytope(*shape)
+        assert oracle.d == 2
+        draws = np.random.default_rng(41).integers(-3, 4, size=(4, *oracle.point_shape))
+        for M in draws.astype(float):
+            assert oracle.lmo(M)[1] == pm_lmo(M, 3)[1]
+
+    @pytest.mark.parametrize("shape", BENCHMARK_SHAPES)
+    def test_benchmark_shapes_keep_their_dimension_and_route(self, shape):
+        oracle = PMPolytope(*shape)
+        assert oracle.d == shape[0]
+        assert oracle._use_g_route == _reference_route(*shape)
+
+
 def _row_index(digits) -> int:
     """Position of an assignment in the lexicographic enumeration of {0, 1}^n."""
     return int("".join(str(int(b)) for b in digits), 2)
@@ -370,14 +399,14 @@ class TestChunkedEnumeration:
         assert _traced_peak(lambda: oracle.lmo(M)) <= 128 * 2**20
 
     def test_sorted_tables_stay_small_for_a_large_dimension(self):
-        # at n_y = 1 the walk has d + 1 tables, each of d rows; the cached
-        # suffix table still holds at most 4 * _CHUNK_SIZE entries
+        # at n_y = 1 a strategy answers with at most 2 distinct rows, so the
+        # walk is over pairs, not over d-tuples of rows
         oracle = PMPolytope(1000, 3, 1)
         assert oracle._use_g_route
         M = np.random.default_rng(40).integers(-3, 4, size=oracle.point_shape).astype(float)
         _clear_table_caches()
         peak = _traced_peak(lambda: oracle.lmo(M))
-        assert polytope._sorted_tables(2, 1000)[1].size <= 4 * polytope._CHUNK_SIZE
+        assert oracle.d == 2
         assert peak < 8 * 2**20
         assert oracle.lmo(M)[1] == pm_lmo(M, 3)[1]  # three messages serve all three x
 
@@ -394,14 +423,11 @@ class TestChunkedEnumeration:
         assert _traced_peak(lambda: bell_lmo(M)) < 12 * 2**20
 
     def test_response_route_takes_one_chunk_of_response_rows(self):
-        # R holds all 2^n_y response rows, so a direct d = 1 call past one
-        # chunk raises instead of building a table of 2^(n_y + 1) columns
+        # R holds all 2^n_y response rows, and at 2^(n_y + 1) == _CHUNK_SIZE
+        # they still fill one chunk
         n_y = polytope._CHUNK_SIZE.bit_length() - 2  # 2^(n_y + 1) == _CHUNK_SIZE
         M = np.random.default_rng(36).integers(-2, 3, size=(3, n_y, 2)).astype(float)
         assert polytope._pm_lmo_over_responses(M, 1)[1] == pm_lmo(M, 1)[1]
-        M = np.zeros((3, n_y + 1, 2))
-        with pytest.raises(EnumerationBudgetError, match=r"^2\^\d+ response rows exceed one chunk"):
-            polytope._pm_lmo_over_responses(M, 1)
 
 
 def _clear_table_caches():
