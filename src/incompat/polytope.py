@@ -239,6 +239,11 @@ def pm_lmo(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
     group sum.  Ties resolve to the lowest message, lowest outcome, and first
     (lexicographically smallest) encoding, so runs are reproducible.  The
     winner's group sums come from its one-hot message masks as enumerated.
+
+    The budget prices all d^n_x encodings, but only the labels below
+    min(d, n_x) are walked: an encoding uses at most n_x labels, and
+    renumbering them in order of first use gives an earlier encoding with the
+    same score.  g keeps d rows; an unused message's row answers 0.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 3 or M.shape[2] != 2:
@@ -258,11 +263,18 @@ def pm_lmo(M: np.ndarray, d: int) -> tuple[PMStrategy, float]:
         D = T @ diff
         np.maximum(D, 0.0, out=D)
         vals = np.add.reduce(np.add.reduce(D, axis=2), axis=0, initial=const)
-        return vals, T.swapaxes(0, 1)  # row i: the encoding's d message masks
+        return vals, T.swapaxes(0, 1)  # row i: the encoding's k message masks
 
-    f, _, masks = _lex_argmax(d, n_x, score, "encodings")
+    _check_budget(d**n_x, f"{d}^{n_x}", "encodings")
+    k = min(d, n_x)
+    f, _, masks = _lex_argmax(k, n_x, score, "encodings")
     flat = M.reshape(n_x, n_y * 2)
-    table = np.array([masks[a] @ flat for a in range(d)]).reshape(d, n_y, 2)
+    table = [masks[a] @ flat for a in range(k)]
+    if d > k:
+        # An unused message's row is the product of its all-zero mask, so the
+        # value sums d * n_y entries whatever k is.
+        table += [np.zeros(n_x) @ flat] * (d - k)
+    table = np.array(table).reshape(d, n_y, 2)
     return _pm_strategy(f, table.argmax(axis=2)), float(table.max(axis=2).sum())
 
 
@@ -428,9 +440,16 @@ class PMPolytope(_Adapter):
         _check_budget(*(tables if self._use_g_route else encodings))
 
     def _admits(self, strategy: PMStrategy) -> bool:
-        """Whether a start strategy sends n_x messages answered by at most d rows."""
+        """Whether a start strategy is a PMStrategy of 0/1 responses whose n_x
+        messages index g and are answered by at most d distinct rows."""
+        if not isinstance(strategy, PMStrategy):
+            return False
         f, g = strategy.f, strategy.g
-        return len(f) == self.n_x and len({g[a] for a in set(f)}) <= self.d
+        used = set(f)
+        return (
+            len(f) == self.n_x and used <= set(range(len(g)))
+            and set().union(*g) <= {0, 1} and len({g[a] for a in used}) <= self.d
+        )
 
     def _exact(self, M: np.ndarray) -> tuple[PMStrategy, float]:
         return (_pm_lmo_over_responses if self._use_g_route else pm_lmo)(M, self.d)
@@ -444,7 +463,9 @@ class BellPolytope(_Adapter):
         self.point_shape = (self.n_a, self.n_b)
 
     def _admits(self, strategy: SignAssignment) -> bool:
-        """Whether a start strategy has n_a and n_b signs of +-1."""
+        """Whether a start strategy is a SignAssignment of n_a and n_b signs of +-1."""
+        if not isinstance(strategy, SignAssignment):
+            return False
         alpha, beta = strategy.alpha, strategy.beta
         return (len(alpha), len(beta)) == self.point_shape and set(alpha + beta) <= {1, -1}
 
@@ -703,23 +724,6 @@ def _affine_weights(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
     R = rows - p
     u = np.linalg.solve(R @ R.T + 1.0, np.ones(rows.shape[0]))
     return u / u.sum()
-
-
-def _min_norm_point(
-    rows: np.ndarray, p: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact projection of p onto the convex hull of the given rows.
-
-    Runs the corral's Wolfe loop (_Corral.project) from the given weights:
-    repeatedly add the row most aligned with the residual, take Wolfe's
-    affine step on the support, and step back to the simplex, dropping rows
-    that hit zero, until no row improves.  A row that is an affine
-    combination of the support enters by a null step (see _Corral.enter), so
-    the support stays affinely independent.
-    """
-    corral = _Corral(p, rows, w)
-    corral.project()
-    return corral.weights(), corral.x
 
 
 def fw_membership(

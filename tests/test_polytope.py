@@ -569,7 +569,9 @@ class TestInnerProjection:
                 p = rng.uniform(-0.5, 1.5, size=rows.shape[1])
             start = np.zeros(len(rows))
             start[0] = 1.0
-            w, x = polytope._min_norm_point(rows, p, start)
+            corral = polytope._Corral(p, rows, start)
+            corral.project()
+            w, x = corral.weights(), corral.x
             assert np.all(w >= 0.0)
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.allclose(x, w @ rows, rtol=0.0, atol=1e-15)
@@ -666,7 +668,9 @@ class TestInnerProjection:
         # the starting weights already sit on two copies of one vertex
         rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         p = np.array([0.5, 0.5])
-        w, x = polytope._min_norm_point(rows, p, np.array([0.5, 0.5, 0.0]))
+        corral = polytope._Corral(p, rows, np.array([0.5, 0.5, 0.0]))
+        corral.project()
+        w, x = corral.weights(), corral.x
         assert np.linalg.norm(x - p) < 1e-12
         assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
 
@@ -674,7 +678,9 @@ class TestInnerProjection:
         # three collinear distinct rows carry the start; the fourth is needed
         rows = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
         p = np.array([0.5, 0.5])
-        w, x = polytope._min_norm_point(rows, p, np.array([1.0, 1.0, 1.0, 0.0]) / 3.0)
+        corral = polytope._Corral(p, rows, np.array([1.0, 1.0, 1.0, 0.0]) / 3.0)
+        corral.project()
+        w, x = corral.weights(), corral.x
         assert np.linalg.norm(x - p) < 1e-12
         assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
 
@@ -981,6 +987,21 @@ class TestWarmStart:
             fw_membership(point, poly, start=[strategy])
 
 
+    @pytest.mark.parametrize(
+        "poly, strategy",
+        [
+            (PMPolytope(2, 2, 1), PMStrategy((-1, 0), ((0,), (1,)))),  # a negative message
+            (PMPolytope(2, 2, 1), PMStrategy((5, 0), ((0,), (1,)))),  # a message past g
+            (PMPolytope(2, 2, 1), PMStrategy((0, 1), ((2,), (1,)))),  # a response bit of 2
+            (PMPolytope(2, 2, 1), SignAssignment((1, 1), (1,))),
+            (BellPolytope(2, 2), PMStrategy((0, 1), ((0, 1), (1, 0)))),
+        ],
+    )
+    def test_a_malformed_start_is_rejected(self, poly, strategy):
+        point = np.zeros(poly.point_shape)
+        with pytest.raises(ValueError, match="^start strategies must be vertices of the polytope$"):
+            fw_membership(point, poly, start=[strategy])
+
     def test_a_start_that_uses_d_of_more_rows_is_accepted(self):
         # g has three rows, but f sends only messages 0 and 2
         strategy = PMStrategy((0, 2, 0), ((0, 0), (1, 1), (1, 0)))
@@ -1156,6 +1177,8 @@ class TestOnePassOracles:
               *((2, 16, n_y, 6) for n_y in range(2, 6))]
     # the response route walks (2, 20, 8) and (3, 6, 6) one prefix at a time
     RESPONSE_SHAPES = SHAPES + [(4, 5, 3, 10), (2, 20, 8, 3), (3, 6, 6, 2)]
+    # d > n_x: pm_lmo walks only the labels below n_x, the reference all d
+    ABOVE_N_X_SHAPES = [(3, 2, 2, 40), (5, 3, 2, 40), (8, 4, 1, 20), (8, 1, 3, 20), (16, 2, 2, 20)]
 
     @staticmethod
     def _coefficients(rng, shape, k):
@@ -1170,7 +1193,7 @@ class TestOnePassOracles:
             M[half : 2 * half] = M[:half, :, ::-1]
         return M
 
-    @pytest.mark.parametrize("d, n_x, n_y, calls", SHAPES)
+    @pytest.mark.parametrize("d, n_x, n_y, calls", SHAPES + ABOVE_N_X_SHAPES)
     def test_encoding_route_matches_the_reference(self, d, n_x, n_y, calls):
         rng = np.random.default_rng(1000 * d + 10 * n_x + n_y)
         for k in range(calls):
@@ -1181,6 +1204,11 @@ class TestOnePassOracles:
             assert value == ref_value
             _assert_python_ints(strategy)
             _assert_row_is_the_vector(strategy)
+
+    def test_a_thousand_messages_return_a_thousand_rows_of_g(self):
+        M = np.array([[[1.0, -2.0]], [[3.0, 0.0]]])
+        strategy, value = pm_lmo(M, 1000)
+        assert len(strategy.g) == 1000 and value == pm_lmo(M, 2)[1] == 4.0
 
     @pytest.mark.parametrize("d, n_x, n_y, calls", RESPONSE_SHAPES)
     def test_response_route_matches_the_reference(self, d, n_x, n_y, calls):
