@@ -24,6 +24,7 @@ from .qcore import (
     PHI_PLUS_VEC,
     QubitOperator,
     _Record,
+    all_ints,
     frozen,
     is_json_numbers,
     trace_product,
@@ -65,7 +66,7 @@ class _Table(_Record):
             isinstance(data, dict)
             and "kind" in data
             and isinstance(data.get("shape"), list)
-            and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in data["shape"])
+            and all_ints(data["shape"]) and min(data["shape"], default=0) >= 0
             and is_json_numbers(data.get("data"))
         ):
             raise ValueError(f"expected a {cls._NAME} object")

@@ -38,8 +38,10 @@ from .qcore import (
     DichotomicMeasurement,
     QubitOperator,
     _Record,
+    all_ints,
     check_unbiased,
     check_visibility,
+    is_integer,
     is_json_number,
     operator_norm,
     validate,
@@ -79,8 +81,7 @@ class MotherPOVM(_Record):
             and len(rows) == len(self.effects)
             and len({len(row) for row in rows}) == 1
             and len(rows[0]) > 0
-            # type() refuses 1.0 and True, which JSON would encode as other types
-            and all(type(b) is int and b in (0, 1) for row in rows for b in row)
+            and all_ints(itertools.chain(*rows), {0, 1})
         ):
             raise ValueError("need one response row of 0s and 1s per effect, all one length")
 
@@ -293,7 +294,7 @@ def _orthogonal_triple_visibility(a: Assemblage) -> float | None:
 
 
 def _check_search_args(max_iter: int, tol: float) -> None:
-    if not (max_iter >= 0 and tol > 0.0):
+    if not (is_integer(max_iter) and max_iter >= 0 and tol > 0.0):
         raise ValueError(f"need max_iter >= 0 and tol > 0, got {max_iter} and {tol}")
 
 
@@ -303,9 +304,9 @@ def decide(a: Assemblage, max_iter: int = 5000, tol: float = 1e-9) -> JMVerdict:
     An incompatible pair makes the whole set incompatible, so every unbiased
     pair is first screened with the analytic norm criterion; then an
     orthogonal unbiased triple meets its exact threshold; the rest goes to
-    the two-sided feasibility search.  A negative max_iter, a tolerance
-    that is not positive, or an assemblage that validate() rejects raises
-    before any screen runs.
+    the two-sided feasibility search.  A max_iter that is not a nonnegative
+    integer, a tolerance that is not positive, or an assemblage that
+    validate() rejects raises before any screen runs.
     """
     _check_search_args(max_iter, tol)
     validate(a)
@@ -380,7 +381,7 @@ def jm_feasibility(
     constraint.  Once <d, x> = <W, T> is negative by more than the cone
     violation of d, W is turned into a JMWitness and checked in exact
     arithmetic; a witness that passes gives not_jm.  Undecided otherwise.
-    A negative max_iter or a tolerance that is not positive raises.
+    Raises unless max_iter is a nonnegative integer and tol is positive.
     """
     _check_search_args(max_iter, tol)
     if not 0 < len(a) <= MAX_SETTINGS:

@@ -11,10 +11,8 @@ doubled scenario equals the local-hidden-variable bound of the same
 (antisymmetrised) coefficients.  This module implements the crossing in both
 the value-level check and the end-to-end certification pipeline, plus a
 see-saw search over ensembles for the existential quantifier.  Every PM
-classical bound here comes from PMPolytope.lmo, which enumerates encodings or
-response tables, whichever is cheaper (the tables one per relabelling of the
-messages, which gives the same bits as all of them), and each bound is
-computed once.
+classical bound here comes from PMPolytope.lmo (its docstring says which exact
+route it takes), and each bound is computed once.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ from .qcore import (
     _Record,
     check_unbiased,
     frozen,
+    is_integer,
     transpose,
     validate,
 )
@@ -342,13 +341,13 @@ def seesaw_ensemble_search(
     pairwise bisectors of the measurement axes.  Returns the best ensemble
     found and its certified violation (Q - L of the correlator witness in the
     bound-2 normalisation), or the initial ensemble and 0.0 when every round
-    stayed classical.  rounds must be nonnegative, and a (and initial, when
-    given) must pass validate().  After a climb, Frank-Wolfe warm-starts from
-    the last verdict's active set; a restart starts cold.  A behaviour met
-    again (such as the bisector seed after every other restart) reuses its
-    first verdict instead of being decided again.
+    stayed classical.  rounds must be a nonnegative integer, and a (and
+    initial, when given) must pass validate().  After a climb, Frank-Wolfe
+    warm-starts from the last verdict's active set; a restart starts cold.  A
+    behaviour met again (such as the bisector seed after every other restart)
+    reuses its first verdict instead of being decided again.
     """
-    if rounds < 0:
+    if not (is_integer(rounds) and rounds >= 0):
         raise ValueError(f"see-saw rounds must be nonnegative, got {rounds}")
     validate(a)
     rng = rng if rng is not None else np.random.default_rng()

@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .qcore import _Record, frozen
+from .qcore import _Record, all_ints, frozen, is_integer
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
 DEFAULT_VERTEX_BUDGET = 10_000
@@ -399,14 +399,16 @@ class _Adapter:
     flat or shaped, and vertex rows.  A subclass adds its exact oracle _exact."""
 
     def __init__(self, scenario: str, **sizes) -> None:
-        """Keep each size as an int attribute; raise ValueError if one is below 1."""
+        """Keep each size as an int attribute; raise ValueError unless each is_integer and >= 1."""
+        *head, last = sizes
+        needs = f"{scenario} scenario needs {', '.join(head)} and {last}"
+        if not all(map(is_integer, sizes.values())):
+            got = ", ".join(f"{name}={value!r}" for name, value in sizes.items())
+            raise ValueError(f"{needs} to be integers; got {got}")
         vars(self).update((name, int(value)) for name, value in sizes.items())
         if min(getattr(self, name) for name in sizes) < 1:
-            *head, last = sizes
             got = ", ".join(f"{name}={value}" for name, value in sizes.items())
-            raise ValueError(
-                f"{scenario} scenario needs {', '.join(head)} and {last} of at least 1; got {got}"
-            )
+            raise ValueError(f"{needs} of at least 1; got {got}")
 
     def lmo(self, M: np.ndarray):
         return self._exact(np.asarray(M, dtype=float).reshape(self.point_shape))
@@ -440,15 +442,15 @@ class PMPolytope(_Adapter):
         _check_budget(*(tables if self._use_g_route else encodings))
 
     def _admits(self, strategy: PMStrategy) -> bool:
-        """Whether a start strategy is a PMStrategy of 0/1 responses whose n_x
-        messages index g and are answered by at most d distinct rows."""
+        """Whether a start strategy is a PMStrategy whose n_x messages index g, whose
+        rows hold n_y bits, and whose messages meet at most d distinct rows (all_ints)."""
         if not isinstance(strategy, PMStrategy):
             return False
         f, g = strategy.f, strategy.g
-        used = set(f)
         return (
-            len(f) == self.n_x and used <= set(range(len(g)))
-            and set().union(*g) <= {0, 1} and len({g[a] for a in used}) <= self.d
+            len(f) == self.n_x and all_ints(f, set(range(len(g))))
+            and {len(row) for row in g} == {self.n_y} and all_ints(itertools.chain(*g), {0, 1})
+            and len({g[a] for a in set(f)}) <= self.d
         )
 
     def _exact(self, M: np.ndarray) -> tuple[PMStrategy, float]:
@@ -463,11 +465,11 @@ class BellPolytope(_Adapter):
         self.point_shape = (self.n_a, self.n_b)
 
     def _admits(self, strategy: SignAssignment) -> bool:
-        """Whether a start strategy is a SignAssignment of n_a and n_b signs of +-1."""
+        """Whether a start strategy is a SignAssignment of n_a and n_b signs +-1 (all_ints)."""
         if not isinstance(strategy, SignAssignment):
             return False
         alpha, beta = strategy.alpha, strategy.beta
-        return (len(alpha), len(beta)) == self.point_shape and set(alpha + beta) <= {1, -1}
+        return (len(alpha), len(beta)) == self.point_shape and all_ints(alpha + beta, {1, -1})
 
     def _exact(self, M: np.ndarray) -> tuple[SignAssignment, float]:
         return bell_lmo(M)
@@ -744,7 +746,7 @@ def fw_membership(
     coefficient; Undecided otherwise, with bracketing distance bounds.  The
     decision reuses the oracle value the last iteration computed for the
     residual, so an Outside run makes iterations + 2 exact oracle calls.
-    eps_in must be positive, eps_out and max_iter nonnegative.
+    eps_in must be positive, eps_out nonnegative, max_iter a nonnegative integer.
 
     Each iteration asks the oracle for the corral's last residual, reads the
     dual gap from that residual's base, and hands the new vertex to the
@@ -755,14 +757,15 @@ def fw_membership(
     the row, not the strategy, since twins (strategies that differ by a
     relabelling) share a row.
 
-    A non-empty start (strategies of the same polytope, else ValueError, such
-    as a previous verdict's strategies) warm-starts the run: they replace the
+    A non-empty start (vertices of the same polytope whose entries are Python
+    ints, so 1.0 and True are refused, else ValueError; such as a previous
+    verdict's strategies) warm-starts the run: they replace the
     oracle's vertex for the point as the first vertex set, saving that call.
     The corral begins with uniform weights over them, each row once with
     the weight of all its strategies, factored in one go (null steps reduce
     a dependent set as its rows enter one by one).
     """
-    if not (eps_in > 0.0 and eps_out >= 0.0 and max_iter >= 0):
+    if not (eps_in > 0.0 and eps_out >= 0.0 and is_integer(max_iter) and max_iter >= 0):
         bad = f"{eps_in}, {eps_out}, {max_iter}"
         raise ValueError(f"need eps_in > 0, eps_out >= 0, max_iter >= 0; got {bad}")
     p = np.asarray(point, dtype=float).ravel()
@@ -786,10 +789,7 @@ def fw_membership(
         if picks[-1] == len(rows):
             strategies.append(strat)
             rows.append(row)
-    rows = np.array(rows)
-    if rows.shape[1] != expected:
-        raise ValueError(f"start strategies must have vertices of {expected} entries")
-    corral = _Corral(p, rows, np.bincount(picks).astype(float))
+    corral = _Corral(p, np.array(rows), np.bincount(picks).astype(float))
     best = None  # oracle value at the residual p - x, once an iteration has one
     iterations = 0
     termination = "iteration_cap"

@@ -40,6 +40,18 @@ def is_json_numbers(x, length: int | None = None) -> bool:
     return isinstance(x, list) and length in (None, len(x)) and all(map(is_json_number, x))
 
 
+def all_ints(values, allowed: set | None = None) -> bool:
+    """True when every value is a Python int, in the set allowed when one is given.
+    A bool, float or numpy integer fails: 1 == 1.0 == True pass a set test alike."""
+    values = tuple(values)
+    return {int}.issuperset(map(type, values)) and (allowed is None or allowed.issuperset(values))
+
+
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer, the sizes and counts range() takes; not a bool."""
+    return hasattr(type(x), "__index__") and not isinstance(x, bool)
+
+
 def check_visibility(eta: float) -> None:
     """Raise ValueError unless 0 <= eta <= 1; NaN does not pass."""
     if not 0.0 <= eta <= 1.0:

@@ -240,6 +240,11 @@ class TestCorrelatorTableFormat:
         with pytest.raises(ValueError, match="correlator table object"):
             CorrelatorTable.from_json_dict(data)
 
+    @pytest.mark.parametrize("size", [1.0, True])
+    def test_a_shape_of_float_or_bool_one_is_still_refused(self, size):
+        with pytest.raises(ValueError, match="^expected a correlator table object$"):
+            CorrelatorTable.from_json_dict({"kind": "full", "shape": [size, 2], "data": [0.5, 0.5]})
+
     @pytest.mark.parametrize(
         "table, match",
         [(CorrelatorTable("full", [[0.5, math.nan]]), r"\[-1, 1\]"),

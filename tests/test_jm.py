@@ -370,7 +370,9 @@ class TestGapWitness:
 
 class TestDecideArguments:
     @pytest.mark.parametrize("a", [pauli_set("xy", 0.5), pauli_set("xz", 0.8)])
-    @pytest.mark.parametrize("kwargs", [{"max_iter": -5}, {"tol": -1.0}, {"tol": 0.0}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_iter": -5}, {"tol": -1.0}, {"tol": 0.0}, {"max_iter": 2.5}]
+    )
     def test_bad_budget_or_tolerance_raises_whether_or_not_a_screen_fires(self, a, kwargs):
         with pytest.raises(ValueError, match="max_iter"):
             decide(a, **kwargs)
@@ -378,7 +380,9 @@ class TestDecideArguments:
     def test_zero_budget_stays_legal(self):
         assert decide(pauli_set("xy", 0.5), max_iter=0).status == "undecided"
 
-    @pytest.mark.parametrize("kwargs", [{"max_iter": -2}, {"tol": 0.0}, {"tol": float("nan")}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_iter": -2}, {"tol": 0.0}, {"tol": float("nan")}, {"max_iter": 2.5}]
+    )
     def test_feasibility_search_checks_its_own_arguments(self, kwargs):
         with pytest.raises(ValueError, match="max_iter"):
             jm_feasibility(pauli_set("xy", 0.5), **kwargs)
@@ -443,6 +447,14 @@ class TestMotherPovmChecks:
     def test_malformed_parent_raises_value_error(self, data):
         with pytest.raises(ValueError):
             MotherPOVM.from_json_dict(data)
+
+    @pytest.mark.parametrize("bit", [1.0, True])
+    def test_a_response_of_float_or_bool_one_is_still_refused(self, bit):
+        effects = (QubitOperator(0.5, (0, 0, 0.5)), QubitOperator(0.5, (0, 0, -0.5)))
+        with pytest.raises(
+            ValueError, match="^need one response row of 0s and 1s per effect, all one length$"
+        ):
+            MotherPOVM(effects, ((0,), (bit,)))
 
     @pytest.mark.parametrize("responses", [((0.0,), (True,)), ((0,), (1.0,)), ((False,), (1,))])
     def test_constructor_refuses_what_the_decoder_refuses(self, responses):

@@ -404,6 +404,11 @@ class TestSeesaw:
         with pytest.raises(ValueError, match="rounds"):
             seesaw_ensemble_search(pauli_set("xyz", 0.9), 2, rounds=-1)
 
+    def test_a_fractional_round_count_is_rejected(self):
+        # unchecked, range() raised TypeError
+        with pytest.raises(ValueError, match="rounds"):
+            seesaw_ensemble_search(pauli_set("xyz", 0.9), 2, rounds=2.5)
+
     def test_nan_assemblage_is_rejected_before_any_round(self):
         # unchecked, numpy fails on a zero-size reduction inside the first round
         nan = DichotomicMeasurement(QubitOperator(0.5, (math.nan, 0.0, 0.0)))

@@ -104,6 +104,22 @@ class TestPMOracle:
         with pytest.raises(ValueError, match=message):
             PMPolytope(d, n_x, n_y)
 
+    @pytest.mark.parametrize(
+        "make, scenario",
+        [(lambda: PMPolytope(2.7, 4, 2), "PM"), (lambda: PMPolytope("3", 4, 2), "PM"),
+         (lambda: PMPolytope(2, True, 2), "PM"), (lambda: BellPolytope(2.7, 2), "Bell"),
+         (lambda: BellPolytope(2, False), "Bell")],
+    )
+    def test_a_size_that_is_not_an_integer_is_refused_not_truncated(self, make, scenario):
+        with pytest.raises(ValueError, match=f"^{scenario} scenario needs .* to be integers; got "):
+            make()
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        poly = PMPolytope(np.int64(2), np.int32(4), np.uint8(2))
+        assert (poly.d, poly.point_shape) == (2, (4, 2, 2))
+        assert all(type(n) is int for n in (poly.d, *poly.point_shape))
+        assert BellPolytope(np.int64(2), 3).point_shape == (2, 3)
+
 
 class TestBellOracle:
     def test_chsh_coefficients(self):
@@ -995,6 +1011,13 @@ class TestWarmStart:
             (PMPolytope(2, 2, 1), PMStrategy((0, 1), ((2,), (1,)))),  # a response bit of 2
             (PMPolytope(2, 2, 1), SignAssignment((1, 1), (1,))),
             (BellPolytope(2, 2), PMStrategy((0, 1), ((0, 1), (1, 0)))),
+            (PMPolytope(2, 2, 1), PMStrategy((0, 1), ((1.0,), (0,)))),  # a response bit of 1.0
+            (PMPolytope(2, 2, 1), PMStrategy((0.0, 1), ((0,), (1,)))),  # a message of 0.0
+            (PMPolytope(2, 2, 1), PMStrategy((0, 1), ((True,), (0,)))),  # a response bit of True
+            (PMPolytope(2, 2, 1), PMStrategy((0, 1), ((0,), (1, 0)))),  # g rows of unequal length
+            (PMPolytope(2, 2, 1), PMStrategy((0, 1), ((0, 1), (1, 0)))),  # g rows of 2 for n_y = 1
+            (BellPolytope(2, 2), SignAssignment((1.0, 1), (1, -1))),  # a sign of 1.0
+            (BellPolytope(2, 2), SignAssignment((True, 1), (1, -1))),  # a sign of True
         ],
     )
     def test_a_malformed_start_is_rejected(self, poly, strategy):
@@ -1369,7 +1392,7 @@ class TestFWArguments:
     @pytest.mark.parametrize(
         "kwargs",
         [{"eps_in": 0.0}, {"eps_in": -1e-7}, {"eps_out": -1e-7}, {"max_iter": -3},
-         {"eps_in": float("nan")}],
+         {"eps_in": float("nan")}, {"max_iter": 2.5}],
     )
     def test_bad_tolerance_or_budget_is_rejected(self, kwargs):
         with pytest.raises(ValueError, match="eps_in"):
