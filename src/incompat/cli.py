@@ -7,11 +7,14 @@ one JSON report to stdout, and uses the exit code to summarise the outcome:
 stderr).  Reports embed the library version and echo every option except
 --timings; with a fixed --seed, identical invocations produce byte-identical
 reports (wall-clock timings are therefore opt-in via --timings).
+
+main builds its parser once per process and reuses it on every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -152,10 +155,12 @@ def _add_fw_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=2000)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="incompat",
-        description=__doc__,
+        # the last paragraph of the docstring is for Python callers, not --help
+        description=(__doc__ or "").rsplit("\n\n", 1)[0],
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "File formats: operators are {\"s\": float, \"v\": [x, y, z]} for "

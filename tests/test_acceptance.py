@@ -519,3 +519,78 @@ def test_12_icosahedral_axes_need_more_than_a_trit():
         f"in {trit.verdict.iterations} it, exact (Q - L) / 2^20 = {excess}, "
         f"0.975 {noisy.verdict.status} in {noisy.verdict.iterations} it, {elapsed:.1f}s",
     )
+
+
+def _zphi(x):
+    """The integers (a, b) with x = a + b*phi, for a coordinate 0, +-1 or +-phi."""
+    a, b = (round(x), 0) if x == round(x) else (0, round(x / PHI))
+    assert x == a + b * PHI
+    return a, b
+
+
+def _zphi_dot(r, u):
+    """r . u as integers (a, b) of a + b*phi, from phi^2 = phi + 1."""
+    a = b = 0
+    for (a1, b1), (a2, b2) in zip(map(_zphi, r), map(_zphi, u)):
+        a += a1 * a2 + b1 * b2
+        b += a1 * b2 + a2 * b1 + b1 * b2
+    return a, b
+
+
+def _zphi_positive(c, d):
+    """c + d*phi > 0 for integers c and d, exactly: 2(c + d phi) = (2c + d) + d sqrt(5)."""
+    x = 2 * c + d
+    if x >= 0 and d >= 0:
+        return x > 0 or d > 0
+    if x <= 0 and d <= 0:
+        return False
+    return x * x > 5 * d * d if x > 0 else 5 * d * d > x * x
+
+
+def test_12_margin_holds_on_the_true_behaviour():
+    # Criterion 12 sums its quantum value over the float behaviour; this check
+    # uses the true one.  Every Bloch vector there is (0, +-1, +-phi) up to
+    # order and sign, of squared length phi + 2, so r.u = (a + b phi)/(phi + 2)
+    # with integers a and b, and 1/(phi + 2) = (3 - phi)/5 makes ten times
+    # each probability c + d phi with integers c and d: 10 p(0|x, y) =
+    # (5 + 3a - b) + (2b - a) phi, and the complement state -r negates a, b.
+    # the sign test on both mixed-sign branches, also where 89/55 exceeds phi by 1.5e-4
+    signs = [_zphi_positive(c, d) for c, d in ((-1, 1), (1, -1), (89, -55), (-89, 55))]
+    assert signs == [True, False, True, False]
+    t0 = time.perf_counter()
+    a, e = _icosahedral_scenario(1.0)
+    p = ic.pm_behavior(ic.double_ensemble(e), a).data
+    true10 = np.zeros(p.shape + (2,), dtype=np.int64)  # [..., 0] + [..., 1] phi
+    for x, r in enumerate(ICOSAHEDRAL_STATES):
+        for y, u in enumerate(ICOSAHEDRAL_AXES):
+            ra, rb = _zphi_dot(r, u)
+            for row, sign in ((x, 1), (x + len(ICOSAHEDRAL_STATES), -1)):
+                c, d = sign * (3 * ra - rb), sign * (2 * rb - ra)
+                true10[row, y] = (5 + c, d), (5 - c, -d)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        phi = (1 + Decimal(5).sqrt()) / 2
+        float_error = max(
+            abs(Decimal(v) - (int(c) + int(d) * phi) / 10)
+            for v, (c, d) in zip(p.ravel(), true10.reshape(-1, 2))
+        )
+
+    trit = ic.certify_incompatibility(a, e, 3)
+    M = trit.verdict.witness.M
+    Mi = np.rint(M * (2**20 / np.abs(M).max()))
+    L = int(ic.pm_lmo(Mi, 3)[1])
+    # 10 (Q_true - L) = c + d phi, every sum an exact integer
+    c, d = (int(s) for s in np.tensordot(Mi.astype(np.int64), true10, axes=3))
+    c -= 10 * L
+    outside = _zphi_positive(c, d)
+    # (Q_true - L) / 2^20 lies in [0.83275, 0.83285), so it rounds to 0.8328
+    rounds_ok = _zphi_positive(10**4 * c - 83275 * 2**20, 10**4 * d)
+    rounds_ok = rounds_ok and _zphi_positive(83285 * 2**20 - 10**4 * c, -(10**4) * d)
+    elapsed = time.perf_counter() - t0
+    _report(
+        12,
+        "the PM3 witness at 2^20 is outside on the true behaviour, exactly",
+        L == 38 * 2**20 and outside and rounds_ok and float_error <= Decimal("1e-15"),
+        f"(Q_true - L) / 2^20 = {(c + d * PHI) / 10 / 2**20:.6f}, "
+        f"float behaviour within {float(float_error):.1e}, {elapsed:.1f}s",
+    )

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from incompat import cli
 from incompat.cli import main
 
 
@@ -542,3 +543,45 @@ class TestInvalidContent:
         path = write_json(tmp_path / "a.json", ops)
         code, out, err = run_cli(capsys, "jm-check", "--assemblage", path)
         assert code == 2 and out == "" and "effect 1 has s" in err and "outside [0, 1]" in err
+
+
+class TestParserReuse:
+    """main reuses one parser per process; its reports match a fresh parser's."""
+
+    @staticmethod
+    def run_all(capsys, argvs):
+        """(code, raised SystemExit, stdout, stderr) of main on each argv in turn."""
+        results = []
+        for argv in argvs:
+            try:
+                code, raised = main(argv), False
+            except SystemExit as exc:
+                code, raised = exc.code, True
+            captured = capsys.readouterr()
+            results.append((code, raised, captured.out, captured.err))
+        return results
+
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reports_match_a_freshly_built_parser(self, pauli_triple_075, capsys, monkeypatch):
+        argvs = [
+            ["gallery", "pauli", "--eta", "0.5"],
+            ["gallery", "pauli"],
+            ["jm-check", "--assemblage", pauli_triple_075],
+            ["certify", "--assemblage", pauli_triple_075],
+            ["jm-check", "--help"],
+            ["gallery", "pauli", "--eta", "0.5"],
+        ]
+        reused = self.run_all(capsys, argvs)
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = self.run_all(capsys, argvs)
+        assert reused == fresh
+        assert [(code, raised) for code, raised, _, _ in reused] == [
+            (0, False), (0, False), (0, False), (2, True), (0, True), (0, False)
+        ]
+        assert "--dim" in reused[3][3] and "--assemblage" in reused[4][2]
+        assert reused[-1] == reused[0]
+        # the first call's --eta 0.5 does not stick: the second reads eta = 1
+        assert json.loads(reused[0][2])[0]["v"][0] == pytest.approx(0.25)
+        assert json.loads(reused[1][2])[0]["v"][0] == pytest.approx(0.5)
